@@ -18,6 +18,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     emit_plot_data,
+    load_sweep,
     run_sweep,
     run_train,
 )
@@ -160,14 +161,9 @@ def _cmd_plot_data(args) -> int:
     with open(meta_path) as fh:
         meta = json.load(fh)
     config = ExperimentConfig.from_dict(meta["config"])
-    results = _reload_results(results_dir, config)
+    results = load_sweep(config, results_dir)
     emit_plot_data(results, config, args.out or results_dir / "plots")
     return 0
-
-
-def _reload_results(results_dir: Path, config: ExperimentConfig):
-    # re-running the sweep only touches missing cells, so this is cheap
-    return run_sweep(config, results_dir)
 
 
 def main(argv=None) -> int:

@@ -8,7 +8,10 @@ Outputs of a sweep (all deterministic for a fixed config):
   optimized demapper variance;
 * ``cells/``           - per-cell JSON used for interrupt/resume, keyed by
   the config hash;
-* ``run_meta.json``    - config echo, hash, and wall times (wall times are
+* ``run_meta.json``    - config echo, hash, and measured times: per cell
+  and algorithm the seconds of its estimator, postprocessing and demapper
+  search, and per (snr, sigma_theta_sq) the seconds of the shared distance
+  tables and transition matrix, each summed over realizations (times are
   intentionally kept out of the CSVs so those stay byte-identical).
 """
 
@@ -144,7 +147,13 @@ def config_hash(config: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Aggregated scores of one (snr, sigma_theta_sq, algorithm) cell."""
+    """Aggregated scores of one (snr, sigma_theta_sq, algorithm) cell.
+
+    ``wall_time_s`` is the algorithm's own estimator, postprocessing and
+    demapper-search time, and ``shared_time_s`` that of the distance tables
+    and transition matrix all algorithms of the cell share, both summed over
+    realizations; ``shared_time_s`` is None for cells saved without it.
+    """
 
     snr_db: float
     sigma_theta_sq: float
@@ -157,6 +166,7 @@ class CellResult:
     sigma_opt_values: tuple[float, ...]
     slip_counts: tuple[int, ...]
     wall_time_s: float
+    shared_time_s: float | None = None
 
 
 def aggregate_cell(values) -> tuple[float, float, float]:
@@ -193,15 +203,18 @@ def _evaluate_realization(args):
     )
     want_min = bool({"bps", "bps_opt"} & set(config.algorithms))
     want_log_r = bool({"cpn", "map_bp"} & set(config.algorithms))
+    started = time.perf_counter()
     d_table, log_r = _distance_tables(
         trace.rx_symbols, grid, constellation, cfg.sigma_n_sq, want_min, want_log_r
     )
     tables = None
     if want_log_r:
         tables = FactorTables(log_r, q_matrix(grid, cfg.sigma_theta_sq, cfg.wrap_terms))
+    shared_s = time.perf_counter() - started
 
     out = {}
     for algo in config.algorithms:
+        started = time.perf_counter()
         if algo == "bps":
             phi_raw = bps_estimate(trace.rx_symbols, cfg, constellation, d_table=d_table)
         elif algo == "cpn":
@@ -224,8 +237,9 @@ def _evaluate_realization(args):
         sigma_opt, report = optimize_demapper_variance(
             x_hat, bits, constellation, edge_excluded=config.exclude_edges
         )
-        out[algo] = (report.bmi_bits, sigma_opt, len(corrected.slip_events))
-    return out
+        seconds = time.perf_counter() - started
+        out[algo] = (report.bmi_bits, sigma_opt, len(corrected.slip_events), seconds)
+    return out, shared_s
 
 
 def _worker_count(workers: int | None) -> int:
@@ -258,6 +272,7 @@ def run_sweep(
 
     results: list[CellResult] = []
     wall_times: dict[str, float] = {}
+    shared_times: dict[str, float | None] = {}
     for i_snr, snr in enumerate(config.snr_db):
         for i_sigma, sigma in enumerate(config.sigma_theta_sq):
             cached = {
@@ -265,41 +280,15 @@ def run_sweep(
                 for algo in config.algorithms
             }
             if all(p.exists() for p in cached.values()):
-                for algo in config.algorithms:
-                    results.append(_load_cell(cached[algo], snr, sigma, algo))
-                continue
-            started = time.perf_counter()
-            tasks = [
-                (constellation, config, snr, sigma, r, opt_params)
-                for r in range(config.realizations)
-            ]
-            if n_workers > 1:
-                with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                    per_realization = list(pool.map(_evaluate_realization, tasks))
+                cells = [_load_cell(cached[algo], snr, sigma, algo) for algo in config.algorithms]
             else:
-                per_realization = [_evaluate_realization(t) for t in tasks]
-            elapsed = time.perf_counter() - started
-            for algo in config.algorithms:
-                bmi_values = tuple(res[algo][0] for res in per_realization)
-                sigma_values = tuple(res[algo][1] for res in per_realization)
-                slip_counts = tuple(res[algo][2] for res in per_realization)
-                median, q25, q75 = aggregate_cell(bmi_values)
-                cell = CellResult(
-                    snr_db=snr,
-                    sigma_theta_sq=sigma,
-                    algorithm=algo,
-                    bmi_median=median,
-                    bmi_q25=q25,
-                    bmi_q75=q75,
-                    slips_median=float(np.median(slip_counts)),
-                    bmi_values=bmi_values,
-                    sigma_opt_values=sigma_values,
-                    slip_counts=slip_counts,
-                    wall_time_s=elapsed / len(config.algorithms),
+                cells = _run_cell(
+                    constellation, config, snr, sigma, opt_params, n_workers, cached
                 )
-                results.append(cell)
-                _save_cell(cached[algo], cell)
-                wall_times[f"snr={snr} sigma={sigma} algo={algo}"] = cell.wall_time_s
+            results.extend(cells)
+            for cell in cells:
+                wall_times[f"snr={snr} sigma={sigma} algo={cell.algorithm}"] = cell.wall_time_s
+            shared_times[f"snr={snr} sigma={sigma}"] = cells[0].shared_time_s
 
     _write_results_csv(out_dir / "results.csv", results, config, digest)
     _write_realizations_csv(out_dir / "realizations.csv", results, config)
@@ -307,10 +296,67 @@ def run_sweep(
         "config": asdict(config),
         "config_hash": digest,
         "wall_times_s": wall_times,
+        "shared_tables_s": shared_times,
         "workers": n_workers,
     }
     with open(out_dir / "run_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
+    return results
+
+
+def _run_cell(constellation, config, snr, sigma, opt_params, n_workers, paths):
+    """Compute one (snr, sigma_theta_sq) cell for every algorithm and
+    checkpoint each algorithm's result to ``paths[algo]``."""
+    tasks = [
+        (constellation, config, snr, sigma, r, opt_params) for r in range(config.realizations)
+    ]
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            per_realization = list(pool.map(_evaluate_realization, tasks))
+    else:
+        per_realization = [_evaluate_realization(t) for t in tasks]
+    shared_s = sum(shared for _, shared in per_realization)
+    cells = []
+    for algo in config.algorithms:
+        scores = [out[algo] for out, _ in per_realization]
+        bmi_values = tuple(s[0] for s in scores)
+        slip_counts = tuple(s[2] for s in scores)
+        median, q25, q75 = aggregate_cell(bmi_values)
+        cell = CellResult(
+            snr_db=snr,
+            sigma_theta_sq=sigma,
+            algorithm=algo,
+            bmi_median=median,
+            bmi_q25=q25,
+            bmi_q75=q75,
+            slips_median=float(np.median(slip_counts)),
+            bmi_values=bmi_values,
+            sigma_opt_values=tuple(s[1] for s in scores),
+            slip_counts=slip_counts,
+            wall_time_s=sum(s[3] for s in scores),
+            shared_time_s=shared_s,
+        )
+        _save_cell(paths[algo], cell)
+        cells.append(cell)
+    return cells
+
+
+def load_sweep(config: ExperimentConfig, output_dir) -> list[CellResult]:
+    """Read a finished sweep's cells, in ``run_sweep``'s order, without
+    computing or writing anything; a missing cell is a ConfigError."""
+    cells_dir = Path(output_dir) / "cells"
+    digest = config_hash(config)
+    results = []
+    for i_snr, snr in enumerate(config.snr_db):
+        for i_sigma, sigma in enumerate(config.sigma_theta_sq):
+            for algo in config.algorithms:
+                path = _cell_path(cells_dir, digest, i_snr, i_sigma, algo)
+                if not path.exists():
+                    raise ConfigError(
+                        f"missing cell {path} (snr_db={snr}, sigma_theta_sq={sigma}, "
+                        f"algorithm={algo}); rerun the sweep to compute it"
+                    )
+                results.append(_load_cell(path, snr, sigma, algo))
     return results
 
 
@@ -320,6 +366,7 @@ def _save_cell(path: Path, cell: CellResult) -> None:
         "sigma_opt_values": list(cell.sigma_opt_values),
         "slip_counts": list(cell.slip_counts),
         "wall_time_s": cell.wall_time_s,
+        "shared_time_s": cell.shared_time_s,
     }
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as fh:
@@ -343,6 +390,7 @@ def _load_cell(path: Path, snr: float, sigma: float, algo: str) -> CellResult:
         sigma_opt_values=tuple(doc["sigma_opt_values"]),
         slip_counts=tuple(int(v) for v in doc["slip_counts"]),
         wall_time_s=float(doc["wall_time_s"]),
+        shared_time_s=doc.get("shared_time_s"),
     )
 
 

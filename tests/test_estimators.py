@@ -26,9 +26,11 @@ from wiener_cpe import (
     softmin,
     transmit,
 )
+from wiener_cpe import estimators
 from wiener_cpe.estimators import (
     _chain_log_marginals_full,
     _chain_log_marginals_windowed,
+    _distance_tables,
     weighted_window_sums,
 )
 from wiener_cpe.numerics import wrap_sector
@@ -262,6 +264,73 @@ class TestMapBp:
             np.argmax(_chain_log_marginals_full(tables.r_table, tables.q_matrix), axis=1)
         ]
         np.testing.assert_array_equal(est, expected)
+
+
+def _oracle_windowed_log_marginals(log_r, log_q, half_window):
+    """Reference windowed BP: one pass over the whole sequence, with the
+    transition matrix exponentiated as is (subnormal entries kept)."""
+    size, _ = log_r.shape
+    q_lin = np.exp(log_q)
+    r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+
+    def propagate(messages, r_lin_block, log_r_block):
+        v = messages * r_lin_block
+        peak = v.max(axis=1, keepdims=True)
+        dead = peak[:, 0] < 1e-300
+        if np.any(dead):
+            with np.errstate(divide="ignore"):
+                b = np.log(messages[dead]) + log_r_block[dead]
+            v[dead] = np.exp(b - b.max(axis=1, keepdims=True))
+            peak[dead] = 1.0
+        return (v / peak) @ q_lin
+
+    fwd = np.ones_like(log_r)
+    bwd = np.ones_like(log_r)
+    for s in range(half_window, 0, -1):
+        head = slice(0, size - s)
+        fwd[s:] = propagate(fwd[s:], r_lin[head], log_r[head])
+        bwd[head] = propagate(bwd[head], r_lin[s:], log_r[s:])
+    with np.errstate(divide="ignore"):
+        return np.log(fwd) + log_r + np.log(bwd)
+
+
+class TestBlockedBp:
+    """The windowed BP runs in row blocks with halos on a flushed Q; it must
+    reproduce the one-pass recursion on the raw Q."""
+
+    @pytest.mark.parametrize("m_count", [15, 60])
+    @pytest.mark.parametrize("sigma_theta_sq", [0.0, 1.18e-4, 1e-3])
+    def test_matches_unblocked_unflushed_oracle(self, shaped64, m_count, sigma_theta_sq):
+        block = estimators._BP_BLOCK_ROWS
+        size = 2 * block + block // 2 + 37  # three blocks, the last one ragged
+        params = ChannelParams(
+            snr_db=20.0, sigma_theta_sq=sigma_theta_sq, num_symbols=size, seed=23
+        )
+        trace = transmit(shaped64, params)
+        cfg = _cfg(8, m_count, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=sigma_theta_sq)
+        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        got = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, 8)
+        want = _oracle_windowed_log_marginals(tables.r_table, tables.q_matrix, 8)
+        np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
+        live = want > -700.0
+        assert live.any(axis=1).all()
+        assert np.max(np.abs(got[live] - want[live])) <= 1e-12
+
+    def test_distance_tables_do_not_depend_on_chunk_budget(self, shaped64, monkeypatch):
+        params = ChannelParams(snr_db=20.0, sigma_theta_sq=1.18e-4, num_symbols=301, seed=24)
+        trace = transmit(shaped64, params)
+        grid = make_grid(60, 4)
+        row_bytes = 8 * grid.m_count * shaped64.num_points
+
+        def tables():
+            return _distance_tables(trace.rx_symbols, grid, shaped64, 0.005, True, True)
+
+        d_default, r_default = tables()
+        for budget in (1, row_bytes * (trace.rx_symbols.size + 1)):
+            monkeypatch.setattr(estimators, "_TABLE_CHUNK_BYTES", budget)
+            d_min, log_r = tables()
+            np.testing.assert_array_equal(d_min, d_default)
+            np.testing.assert_array_equal(log_r, r_default)
 
 
 class TestBruteForce:

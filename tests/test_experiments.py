@@ -128,6 +128,22 @@ class TestRunSweep:
         run_sweep(config, tmp_path)
         assert (tmp_path / "results.csv").read_bytes() == full
 
+    def test_full_resume_keeps_measured_times(self, tmp_path):
+        config = _small_config(algorithms=("bps", "map_bp"))
+        run_sweep(config, tmp_path)
+        first = json.loads((tmp_path / "run_meta.json").read_text())
+        walls = first["wall_times_s"]
+        assert len(walls) == 4 and all(v > 0 for v in walls.values())
+        # measured per algorithm, not one cell time split evenly
+        assert walls["snr=12.0 sigma=0.0001 algo=bps"] != walls["snr=12.0 sigma=0.0001 algo=map_bp"]
+        assert set(first["shared_tables_s"]) == {"snr=12.0 sigma=0.0001", "snr=15.0 sigma=0.0001"}
+        assert all(v > 0 for v in first["shared_tables_s"].values())
+
+        run_sweep(config, tmp_path)  # every cell cached
+        resumed = json.loads((tmp_path / "run_meta.json").read_text())
+        assert resumed["wall_times_s"] == walls
+        assert resumed["shared_tables_s"] == first["shared_tables_s"]
+
     def test_stale_cells_are_ignored_on_config_change(self, tmp_path):
         run_sweep(_small_config(), tmp_path)
         changed = _small_config(seed=6)
@@ -265,6 +281,35 @@ class TestCli:
         plot = self._run("plot-data", "--results", str(tmp_path / "out"))
         assert plot.returncode == 0, plot.stderr
         assert list((tmp_path / "out" / "plots").glob("bmi_vs_snr*.csv"))
+
+    def test_plot_data_is_read_only(self, tmp_path):
+        config = dict(
+            order=16,
+            target_entropy=3.5,
+            snr_db=[12.0, 15.0],
+            sigma_theta_sq=[1e-4],
+            algorithms=["bps"],
+            half_window=4,
+            num_test_phases=8,
+            realizations=1,
+            num_symbols=256,
+            seed=1,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        assert self._run("sweep", "--config", str(cfg_path), "--out", str(out_dir)).returncode == 0
+        meta = (out_dir / "run_meta.json").read_bytes()
+        results = (out_dir / "results.csv").read_bytes()
+        missing = sorted((out_dir / "cells").glob("*.json"))[1]
+        missing.unlink()
+
+        plot = self._run("plot-data", "--results", str(out_dir))
+        assert plot.returncode == 1
+        assert "config error" in plot.stderr and missing.name in plot.stderr
+        assert not missing.exists()
+        assert (out_dir / "run_meta.json").read_bytes() == meta
+        assert (out_dir / "results.csv").read_bytes() == results
 
     def test_flag_overrides(self, tmp_path):
         out = self._run(
