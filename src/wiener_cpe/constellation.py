@@ -13,6 +13,7 @@ SQUARE_QAM_ORDERS = (4, 16, 64, 256)
 _PROB_TOL = 1e-12
 _ENERGY_TOL = 1e-12
 _GEOMETRY_TOL = 1e-9
+_SEPARABLE_PROB_RTOL = 1e-12
 
 
 def entropy_bits(probs) -> float:
@@ -20,6 +21,33 @@ def entropy_bits(probs) -> float:
     p = np.asarray(probs, dtype=np.float64)
     nz = p[p > 0.0]
     return float(-np.sum(nz * np.log2(nz)))
+
+
+def _axis_levels(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # distinct levels (ascending, equal within the geometry tolerance) and
+    # each value's level index
+    order = np.argsort(values, kind="stable")
+    starts = np.concatenate([[True], np.diff(values[order]) > _GEOMETRY_TOL])
+    index = np.empty(values.size, dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    return values[order][starts], index
+
+
+@dataclass(frozen=True)
+class AxisDecomposition:
+    """Per-axis factorization of a separable constellation.
+
+    Axis 0 is the in-phase, axis 1 the quadrature component. Point
+    ``levels[0][i] + 1j * levels[1][q]`` has probability
+    ``exp(log_priors[0][i] + log_priors[1][q])``. Bit column
+    ``bit_columns[a][j]`` depends on axis ``a`` alone and takes the value
+    ``level_bits[a][l, j]`` at that axis's level ``l``.
+    """
+
+    levels: tuple[np.ndarray, np.ndarray]
+    log_priors: tuple[np.ndarray, np.ndarray]
+    bit_columns: tuple[np.ndarray, np.ndarray]
+    level_bits: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -92,6 +120,42 @@ class Constellation:
 
     def entropy(self) -> float:
         return entropy_bits(self.probs)
+
+    def axis_decomposition(self) -> AxisDecomposition:
+        """Factor the constellation into an in-phase and a quadrature axis.
+
+        Derived from the points, probabilities and labels alone: the points
+        must form a product grid of real and imaginary levels (equal to
+        1e-9), the probabilities must factor into per-axis marginals (to
+        1e-12 relative), and every bit column must be a function of one
+        axis level. Raises ValueError otherwise.
+        """
+        grid = [_axis_levels(part) for part in (self.points.real, self.points.imag)]
+        shape = (grid[0][0].size, grid[1][0].size)
+        index = (grid[0][1], grid[1][1])
+        occupied = np.zeros(shape, dtype=np.int64)
+        np.add.at(occupied, index, 1)
+        if np.any(occupied != 1):
+            raise ValueError("constellation is not separable: points do not form a product grid")
+        joint = np.empty(shape)
+        joint[index] = self.probs
+        marginals = (joint.sum(axis=1), joint.sum(axis=0))
+        if np.any(np.abs(joint - np.outer(*marginals)) > _SEPARABLE_PROB_RTOL * joint):
+            raise ValueError("constellation is not separable: probabilities do not factor")
+        tables = np.empty(shape + (self.bits_per_symbol,), dtype=np.uint8)
+        tables[index] = self.bit_labels
+        on_i = np.all(tables == tables[:, :1], axis=(0, 1))
+        on_q = np.all(tables == tables[:1, :], axis=(0, 1))
+        mixed = np.flatnonzero(~(on_i | on_q))
+        if mixed.size:
+            raise ValueError(f"constellation is not separable: bit {mixed[0]} depends on both axes")
+        columns = (np.flatnonzero(on_i), np.flatnonzero(~on_i))
+        return AxisDecomposition(
+            levels=(grid[0][0], grid[1][0]),
+            log_priors=(np.log(marginals[0]), np.log(marginals[1])),
+            bit_columns=columns,
+            level_bits=(tables[:, 0][:, columns[0]], tables[0][:, columns[1]]),
+        )
 
     def to_json(self) -> str:
         """Serialize as {points: [re, im], probs, labels, sym_order}."""

@@ -7,12 +7,13 @@ Outputs of a sweep (all deterministic for a fixed config):
 * ``realizations.csv`` - one row per realization with its BMI and the
   optimized demapper variance;
 * ``cells/``           - per-cell JSON used for interrupt/resume, keyed by
-  the config hash;
-* ``run_meta.json``    - config echo, hash, and measured times: per cell
-  and algorithm the seconds of its estimator, postprocessing and demapper
-  search, and per (snr, sigma_theta_sq) the seconds of the shared distance
-  tables and transition matrix, each summed over realizations (times are
-  intentionally kept out of the CSVs so those stay byte-identical).
+  the config hash, which covers ``RESULTS_VERSION``;
+* ``run_meta.json``    - config echo, hash, results version, and measured
+  times: per cell and algorithm the seconds of its estimator,
+  postprocessing and demapper search, and per (snr, sigma_theta_sq) the
+  seconds of the shared distance tables and transition matrix, each summed
+  over realizations (times are intentionally kept out of the CSVs so those
+  stay byte-identical).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelParams, transmit
+from .channel import ChannelParams, snr_to_noise_var, transmit
 from .constellation import Constellation, build_qam, maxwell_boltzmann_shape, shape_for_entropy
 from .estimators import (
     BpsOptParams,
@@ -48,6 +48,13 @@ from .postproc import postprocess
 from .training import TrainSchedule, load_params, save_params, save_report, train, weights_to_csv
 
 KNOWN_ALGORITHMS = ("bps", "cpn", "map_bp", "bps_opt")
+
+# Version of the numbers a sweep produces for a given config. It is part of
+# the config hash, so cells cached by code that computed different results
+# are recomputed on resume instead of being mixed in. Bump it whenever a
+# change moves any BMI or sigma_opt digit. 2: per-axis demapper and bounded
+# Brent variance search.
+RESULTS_VERSION = 2
 
 WORKERS_ENV_VAR = "WIENER_CPE_WORKERS"
 
@@ -102,11 +109,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
 
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def build_constellation(config: ExperimentConfig) -> Constellation:
     c = build_qam(config.order)
@@ -131,10 +133,11 @@ def _load_opt_params(config: ExperimentConfig) -> BpsOptParams:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """Hash of the result-relevant config content (trained parameters are
-    hashed by value, not by path)."""
+    """Hash of the result-relevant config content and ``RESULTS_VERSION``
+    (trained parameters are hashed by value, not by path)."""
     doc = asdict(config)
     doc.pop("trained_params_path")
+    doc["results_version"] = RESULTS_VERSION
     if config.trained_params_path is not None:
         params = _load_opt_params(config)
         doc["trained_params"] = {
@@ -295,6 +298,7 @@ def run_sweep(
     meta = {
         "config": asdict(config),
         "config_hash": digest,
+        "results_version": RESULTS_VERSION,
         "wall_times_s": wall_times,
         "shared_tables_s": shared_times,
         "workers": n_workers,
@@ -518,7 +522,7 @@ def run_train(
         phi0=config.phi0,
         random_phi0=config.random_phi0,
     )
-    noise_var = 10.0 ** (-config.snr_db[0] / 10.0) if math.isfinite(config.snr_db[0]) else 0.0
+    noise_var = snr_to_noise_var(config.snr_db[0], constellation)
     cfg = EstimatorConfig(
         half_window=config.half_window,
         grid=grid,

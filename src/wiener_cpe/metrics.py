@@ -8,7 +8,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .constellation import Constellation, entropy_bits
+from .constellation import AxisDecomposition, Constellation, entropy_bits
 
 _LLR_CHUNK = 4096
 _LN2 = math.log(2.0)
@@ -63,49 +63,99 @@ def llrs(
             - log [ sum_{x: bit_b(x)=1} P(x) e^{-|x_hat_k - x|^2 / sigma^2} ]
 
     Shaped symbol priors enter both class sums; everything is computed with
-    log-sum-exp and clamped to +-clamp.
+    log-sum-exp and clamped to +-clamp. The constellation must be separable
+    (see ``Constellation.axis_decomposition``): each bit then depends on one
+    axis only, since the other axis's sum cancels in the ratio, and the sums
+    run over that axis's levels.
     """
     if sigma_demap_sq <= 0:
         raise ValueError("sigma_demap_sq must be positive")
     x_hat = np.asarray(x_hat, dtype=np.complex128)
+    axes = constellation.axis_decomposition()
     out = np.empty((x_hat.size, constellation.bits_per_symbol))
     for start in range(0, x_hat.size, _LLR_CHUNK):
         stop = min(start + _LLR_CHUNK, x_hat.size)
-        out[start:stop] = _llrs_from_d2(
-            _demapper_d2(x_hat[start:stop], constellation), constellation, sigma_demap_sq
-        )
-    np.clip(out, -clamp, clamp, out=out)
+        out[start:stop] = AxisDemapper(x_hat[start:stop], axes).llrs(sigma_demap_sq, clamp).T
     return LlrFrame(out, clamp)
 
 
-def _demapper_d2(x_hat, constellation: Constellation) -> np.ndarray:
-    """Squared distances (k, num_points) from symbols to constellation points."""
-    points = constellation.points
-    point_ri = np.stack([points.real, points.imag])
-    cross = np.stack([x_hat.real, x_hat.imag], axis=1) @ point_ri
-    return (np.abs(x_hat) ** 2)[:, None] + (np.abs(points) ** 2)[None, :] - 2.0 * cross
+class AxisDemapper:
+    """The demapper kernel of scoring and training, one axis at a time.
+
+    Binds a block of K symbols to a separable constellation's per-axis
+    decomposition and keeps the squared offsets of each coordinate from its
+    axis levels, so a candidate variance costs one exponential per axis
+    level and symbol. Arrays are bit-major, (m, K), so that every
+    elementwise pass runs over contiguous symbols. ``backward``
+    differentiates the last ``llrs`` call.
+    """
+
+    def __init__(self, x_hat: np.ndarray, axes: AxisDecomposition):
+        self._axes = axes
+        self._coords = (x_hat.real, x_hat.imag)
+        self._selectors = tuple(_class_selector(bits) for bits in axes.level_bits)
+        self._d2 = tuple(
+            np.square(c[None, :] - lv[:, None]) for c, lv in zip(self._coords, axes.levels)
+        )
+        self._weights = tuple(np.empty_like(d2) for d2 in self._d2)
+        self._last = None
+
+    def llrs(self, sigma_sq: float, clamp: float) -> np.ndarray:
+        """(m, K) LLRs at demapper variance ``sigma_sq``, clamped to +-clamp."""
+        num_bits = sum(cols.size for cols in self._axes.bit_columns)
+        raw = np.empty((num_bits, self._d2[0].shape[1]))
+        class_sums = []
+        for cols, log_prior, selector, d2, weights in zip(
+            self._axes.bit_columns, self._axes.log_priors, self._selectors, self._d2, self._weights
+        ):
+            np.multiply(d2, -1.0 / sigma_sq, out=weights)
+            weights += log_prior[:, None]
+            weights -= weights.max(axis=0)
+            np.exp(weights, out=weights)
+            sums = selector @ weights
+            class_sums.append(sums)
+            # the column peak cancels in the ratio; a class whose mass
+            # underflows relative to it yields an infinite LLR, removed by
+            # the clamp
+            with np.errstate(divide="ignore"):
+                log_sums = np.log(sums)
+            raw[cols] = log_sums[0::2] - log_sums[1::2]
+        self._last = (sigma_sq, clamp, raw, class_sums)
+        return np.clip(raw, -clamp, clamp)
+
+    def backward(self, g_llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d loss / d Re x_hat and d loss / d Im x_hat from the (m, K)
+        d loss / d L. A clamped LLR is constant in x_hat and passes no
+        gradient."""
+        sigma_sq, clamp, raw, class_sums = self._last
+        g_llr = np.where(np.abs(raw) <= clamp, g_llr, 0.0)  # +-inf is saturated too
+        grads = []
+        for cols, levels, coord, selector, weights, sums in zip(
+            self._axes.bit_columns,
+            self._axes.levels,
+            self._coords,
+            self._selectors,
+            self._weights,
+            class_sums,
+        ):
+            # fold d llr / d class_sums into one (2m, K) coefficient
+            coef = np.empty_like(sums)
+            coef[0::2] = g_llr[cols]
+            coef[1::2] = -g_llr[cols]
+            np.divide(coef, sums, out=coef, where=coef != 0.0)
+            d_metric = weights * (selector.T @ coef)
+            d_metric *= coord[None, :] - levels[:, None]
+            grads.append(d_metric.sum(axis=0) * (-2.0 / sigma_sq))
+        return grads[0], grads[1]
 
 
-def _class_selector(constellation: Constellation) -> np.ndarray:
-    # (num_points, 2m): even columns pick bit=0 points, odd columns bit=1;
-    # both class sums per bit come out of one matrix product
-    m = constellation.bits_per_symbol
-    selector = np.zeros((constellation.num_points, 2 * m))
-    for b in range(m):
-        selector[constellation.bit_labels[:, b] == 0, 2 * b] = 1.0
-        selector[constellation.bit_labels[:, b] == 1, 2 * b + 1] = 1.0
+def _class_selector(level_bits: np.ndarray) -> np.ndarray:
+    # (2m, levels): even rows pick bit=0 levels, odd rows bit=1; both class
+    # sums per bit come out of one matrix product
+    selector = np.zeros((2 * level_bits.shape[1], level_bits.shape[0]))
+    selector[0::2] = (level_bits == 0).T
+    selector[1::2] = (level_bits == 1).T
     return selector
-
-
-def _llrs_from_d2(d2, constellation: Constellation, sigma_demap_sq: float) -> np.ndarray:
-    metric = np.log(constellation.probs)[None, :] - d2 / sigma_demap_sq
-    peak = metric.max(axis=1, keepdims=True)
-    class_sums = np.exp(metric - peak) @ _class_selector(constellation)
-    # the row peak cancels in the ratio; a class whose mass underflows
-    # relative to the peak yields an infinite LLR, removed by the clamp
-    with np.errstate(divide="ignore"):
-        log_sums = np.log(class_sums)
-    return log_sums[:, 0::2] - log_sums[:, 1::2]
 
 
 def bmi(bits, llr_frame: LlrFrame, constellation: Constellation) -> float:
@@ -115,31 +165,81 @@ def bmi(bits, llr_frame: LlrFrame, constellation: Constellation) -> float:
     the raw (possibly negative) value is returned.
     """
     bits = np.asarray(bits)
-    l_matrix = llr_frame.llrs
-    if bits.shape != l_matrix.shape:
+    if bits.shape != llr_frame.llrs.shape:
         raise ValueError("bits and LLRs must have matching shapes")
-    sign = 1.0 - 2.0 * bits.astype(np.float64)
-    penalty = np.logaddexp(0.0, -sign * l_matrix) / _LN2
-    return entropy_bits(constellation.probs) - float(penalty.sum(axis=1).mean())
+    penalty = softplus(-bit_signs(bits) * llr_frame.llrs).sum() / (bits.shape[0] * _LN2)
+    return entropy_bits(constellation.probs) - float(penalty)
 
 
-def _golden_section_max(fun, lo: float, hi: float, tol: float):
-    # Golden-section search for the maximum of a unimodal function.
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+def bit_signs(bits: np.ndarray) -> np.ndarray:
+    """+1 for a 0 bit, -1 for a 1 bit: the sign a correct LLR has."""
+    return 1.0 - 2.0 * bits.astype(np.float64)
+
+
+def softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) elementwise. At z = -sign * L it is the binary cross
+    entropy, in nats, of LLR L for a bit of that sign."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
+def _brent_max(fun, lo: float, hi: float, tol: float):
+    """Maximum of a unimodal function on [lo, hi] by bounded Brent.
+
+    Brent's (1973) minimizer without derivatives: parabolic interpolation
+    through the three best points, with a golden-section step whenever the
+    parabola would leave the bracket or fail to shrink it. Stops once the
+    best point is within ``tol`` (plus a relative sqrt(eps)) of the argmax.
+    Returns (argmax, max).
+    """
     a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = -fun(x)
+    step = prev_step = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return x, -fx
+        parabolic = False
+        if abs(prev_step) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            older, prev_step = prev_step, step
+            if abs(p) < abs(0.5 * q * older) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                parabolic = True
+                if (x + step - a) < tol2 or (b - x - step) < tol2:
+                    step = tol1 if mid >= x else -tol1
+        if not parabolic:
+            prev_step = (a - x) if x >= mid else (b - x)
+            step = _GOLDEN * prev_step
+        u = x + (step if abs(step) >= tol1 else math.copysign(tol1, step))
+        fu = -fun(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc >= fd else (d, fd)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def optimize_demapper_variance(
@@ -151,34 +251,36 @@ def optimize_demapper_variance(
 ) -> tuple[float, BmiReport]:
     """Maximize BMI over the demapper noise variance.
 
-    Golden-section search on log sigma^2 over [1e-6, 10] with tolerance
-    1e-4 in the log domain. A frame of identical symbols cannot carry
+    Bounded Brent search on log sigma^2 over [1e-6, 10] with tolerance 1e-4
+    in the log domain. The per-axis offsets are computed once and shared by
+    every candidate variance. A frame of identical symbols cannot carry
     information about the variance and is returned flagged as degenerate.
     """
     x_hat = np.asarray(x_hat, dtype=np.complex128)
     bits = np.asarray(bits)
     if x_hat.size == 0:
         raise ValueError("empty frame")
+    if bits.shape != (x_hat.size, constellation.bits_per_symbol):
+        raise ValueError("bits must have one row of bits_per_symbol labels per symbol")
     degenerate = bool(np.all(x_hat == x_hat.flat[0]))
-    d2 = _demapper_d2(x_hat, constellation)  # shared by all candidate variances
+    demapper = AxisDemapper(x_hat, constellation.axis_decomposition())
+    neg_sign = np.ascontiguousarray(-bit_signs(bits).T)
+    entropy = entropy_bits(constellation.probs)
+    scale = 1.0 / (x_hat.size * _LN2)
 
     def score(log_sigma_sq: float) -> float:
-        frame = LlrFrame(
-            np.clip(_llrs_from_d2(d2, constellation, math.exp(log_sigma_sq)), -clamp, clamp),
-            clamp,
-        )
-        return bmi(bits, frame, constellation)
+        llr = demapper.llrs(math.exp(log_sigma_sq), clamp)
+        return entropy - float(softplus(llr * neg_sign).sum()) * scale
 
     if degenerate:
         sigma_sq = math.sqrt(SIGMA_SQ_RANGE[0] * SIGMA_SQ_RANGE[1])
         best = score(math.log(sigma_sq))
     else:
-        log_best, best = _golden_section_max(
+        log_best, best = _brent_max(
             score, math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]), tol=1e-4
         )
         sigma_sq = math.exp(log_best)
 
-    entropy = entropy_bits(constellation.probs)
     clamped = min(max(best, 0.0), entropy)
     report = BmiReport(
         bmi_bits=clamped,

@@ -21,7 +21,7 @@ from scipy.special import expit
 from .channel import ChannelParams, ChannelTrace, transmit
 from .constellation import Constellation, entropy_bits
 from .estimators import BpsOptParams, EstimatorConfig, min_distance_table, weighted_window_sums
-from .metrics import DEFAULT_CLAMP, _class_selector, _demapper_d2
+from .metrics import DEFAULT_CLAMP, AxisDemapper, bit_signs, softplus
 from .numerics import softmax, wrap_sector
 
 _LN2 = math.log(2.0)
@@ -171,38 +171,17 @@ def _forward_backward(
             g_phi = 2.0 * residual / size
     else:
         sigma_sq = max(trace.sigma_n_sq, 1e-12)
-        selector = _class_selector(constellation)  # (num_points, 2m)
-        point_re = constellation.points.real
-        point_im = constellation.points.imag
+        axes = constellation.axis_decomposition()
         total_loss = 0.0
         for start in range(0, size, _CHUNK):
             stop = min(start + _CHUNK, size)
             xc = x_hat[start:stop]
-            u = xc.real[:, None]
-            v = xc.imag[:, None]
-            d2 = _demapper_d2(xc, constellation)
-            metric = np.log(constellation.probs)[None, :] - d2 / sigma_sq
-            peak = metric.max(axis=1, keepdims=True)
-            exp_metric = np.exp(metric - peak)
-            class_sums = exp_metric @ selector  # (k, 2m); row peak cancels below
-            with np.errstate(divide="ignore"):
-                log_sums = np.log(class_sums)
-            llr = log_sums[:, 0::2] - log_sums[:, 1::2]
-            saturated = ~(np.abs(llr) <= clamp)  # catches +-inf as well
-            llr_c = np.clip(llr, -clamp, clamp)
-            sign = 1.0 - 2.0 * trace.bits[start:stop].astype(np.float64)
-            total_loss += float(np.logaddexp(0.0, -sign * llr_c).sum())
+            demapper = AxisDemapper(xc, axes)
+            llr = demapper.llrs(sigma_sq, clamp)
+            sign = bit_signs(trace.bits[start:stop].T)
+            total_loss += float(softplus(-sign * llr).sum())
             if want_grad:
-                g_llr = -sign * expit(-sign * llr_c) / size
-                g_llr[saturated] = 0.0
-                # fold d llr / d class_sums into one (k, 2m) coefficient
-                coef = np.zeros_like(class_sums)
-                coef[:, 0::2] = g_llr
-                coef[:, 1::2] = -g_llr
-                np.divide(coef, class_sums, out=coef, where=coef != 0.0)
-                t_coef = exp_metric * (coef @ selector.T)
-                g_u = (t_coef * (-2.0 / sigma_sq * (u - point_re[None, :]))).sum(axis=1)
-                g_v = (t_coef * (-2.0 / sigma_sq * (v - point_im[None, :]))).sum(axis=1)
+                g_u, g_v = demapper.backward(-sign * expit(-sign * llr) / size)
                 # d x_hat / d phi = -j x_hat
                 g_phi[start:stop] = g_u * xc.imag - g_v * xc.real
         total_loss /= size

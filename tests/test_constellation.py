@@ -192,6 +192,28 @@ class TestSerialization:
         assert back.sym_order == shaped64.sym_order
 
 
+class TestAxisDecomposition:
+    @pytest.mark.parametrize("order", [4, 16, 64, 256])
+    def test_reconstructs_points_probs_and_labels(self, order):
+        shaped, _ = shape_for_entropy(build_qam(order), max(2.0, math.log2(order) - 0.25))
+        # derived from the data alone: a deserialized copy factors the same way
+        constellation = Constellation.from_json(shaped.to_json())
+        axes = constellation.axis_decomposition()
+        i = np.searchsorted(axes.levels[0], constellation.points.real)
+        q = np.searchsorted(axes.levels[1], constellation.points.imag)
+        np.testing.assert_array_equal(
+            axes.levels[0][i] + 1j * axes.levels[1][q], constellation.points
+        )
+        probs = np.exp(axes.log_priors[0][i] + axes.log_priors[1][q])
+        np.testing.assert_allclose(probs, constellation.probs, rtol=1e-12, atol=0.0)
+        labels = np.empty_like(constellation.bit_labels)
+        labels[:, axes.bit_columns[0]] = axes.level_bits[0][i]
+        labels[:, axes.bit_columns[1]] = axes.level_bits[1][q]
+        np.testing.assert_array_equal(labels, constellation.bit_labels)
+        half = constellation.bits_per_symbol // 2
+        assert axes.bit_columns[0].tolist() == list(range(half))
+
+
 @given(lam=st.floats(min_value=0.0, max_value=3.0, allow_nan=False))
 @settings(max_examples=25, deadline=None)
 def test_shaped_probs_always_valid(lam):

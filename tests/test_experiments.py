@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -152,6 +153,31 @@ class TestRunSweep:
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["config_hash"] == config_hash(changed)
 
+    def test_results_version_bump_recomputes_cells(self, tmp_path, monkeypatch):
+        from wiener_cpe import experiments
+
+        config = _small_config()
+        run_sweep(config, tmp_path)
+        computed = []
+        run_cell = experiments._run_cell
+
+        def counting_run_cell(*args):
+            computed.append(args[2])  # the cell's snr
+            return run_cell(*args)
+
+        monkeypatch.setattr(experiments, "_run_cell", counting_run_cell)
+        run_sweep(config, tmp_path)
+        assert computed == []  # same version: every cell loaded from cells/
+
+        old_hash = config_hash(config)
+        monkeypatch.setattr(experiments, "RESULTS_VERSION", experiments.RESULTS_VERSION + 1)
+        assert config_hash(config) != old_hash
+        run_sweep(config, tmp_path)
+        assert computed == list(config.snr_db)
+        meta = json.loads((tmp_path / "run_meta.json").read_text())
+        assert meta["results_version"] == experiments.RESULTS_VERSION
+        assert meta["config_hash"] == config_hash(config)
+
     def test_all_algorithms_run(self, tmp_path):
         config = _small_config(
             algorithms=("bps", "cpn", "map_bp", "bps_opt"), realizations=1, num_symbols=256
@@ -251,6 +277,29 @@ class TestRunTrain:
         report = run_train(config, schedule, tmp_path)
         np.testing.assert_array_equal(report.params.raw_weights, np.zeros(9))
         assert report.params.temperature == pytest.approx(0.1)
+
+
+    @pytest.mark.parametrize("snr_db", [15.0, -3.5, math.inf])
+    def test_noise_variance_from_channel_mapping(self, tmp_path, monkeypatch, snr_db):
+        from wiener_cpe import experiments, snr_to_noise_var
+
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def fake_train(schedule, channel, cfg, constellation, loss_kind):
+            seen.append((cfg.sigma_n_sq, snr_to_noise_var(channel.snr_db, constellation)))
+            raise Stop
+
+        monkeypatch.setattr(experiments, "train", fake_train)
+        with pytest.raises(Stop):
+            run_train(_small_config(snr_db=(snr_db,)), TrainSchedule(epochs=1), tmp_path)
+        (sigma_n_sq, noise_var), = seen
+        assert sigma_n_sq == max(noise_var / 2.0, 1e-12)
+        # the inline formula the mapping replaced, for finite SNR and +inf
+        legacy = 10.0 ** (-snr_db / 10.0) if math.isfinite(snr_db) else 0.0
+        assert sigma_n_sq == max(legacy / 2.0, 1e-12)
 
 
 class TestCli:

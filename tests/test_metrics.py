@@ -5,17 +5,98 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiener_cpe import (
     ChannelParams,
     Constellation,
     LlrFrame,
     bmi,
+    build_qam,
     llrs,
+    maxwell_boltzmann_shape,
     optimize_demapper_variance,
+    shape_for_entropy,
     transmit,
 )
 from wiener_cpe.constellation import entropy_bits
+from wiener_cpe.metrics import DEFAULT_CLAMP, SIGMA_SQ_RANGE, _brent_max
+
+LOG_SIGMA_RANGE = (math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]))
+
+
+# Reference oracles: the X-wide demapper (every LLR a log-sum-exp over all
+# constellation points) and the golden-section variance search, which the
+# per-axis kernel and bounded Brent replaced.
+
+
+def _demapper_d2(x_hat, constellation: Constellation) -> np.ndarray:
+    """Squared distances (k, num_points) from symbols to constellation points."""
+    points = constellation.points
+    point_ri = np.stack([points.real, points.imag])
+    cross = np.stack([x_hat.real, x_hat.imag], axis=1) @ point_ri
+    return (np.abs(x_hat) ** 2)[:, None] + (np.abs(points) ** 2)[None, :] - 2.0 * cross
+
+
+def _class_selector(constellation: Constellation) -> np.ndarray:
+    # (num_points, 2m): even columns pick bit=0 points, odd columns bit=1
+    m = constellation.bits_per_symbol
+    selector = np.zeros((constellation.num_points, 2 * m))
+    for b in range(m):
+        selector[constellation.bit_labels[:, b] == 0, 2 * b] = 1.0
+        selector[constellation.bit_labels[:, b] == 1, 2 * b + 1] = 1.0
+    return selector
+
+
+def _llrs_from_d2(d2, constellation: Constellation, sigma_demap_sq: float) -> np.ndarray:
+    metric = np.log(constellation.probs)[None, :] - d2 / sigma_demap_sq
+    peak = metric.max(axis=1, keepdims=True)
+    class_sums = np.exp(metric - peak) @ _class_selector(constellation)
+    with np.errstate(divide="ignore"):
+        log_sums = np.log(class_sums)
+    return log_sums[:, 0::2] - log_sums[:, 1::2]
+
+
+def _golden_section_max(fun, lo: float, hi: float, tol: float):
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fun(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+def _oracle_score(x_hat, bits, constellation, clamp=DEFAULT_CLAMP):
+    """BMI as a function of log sigma^2, on the X-wide oracle."""
+    d2 = _demapper_d2(x_hat, constellation)
+
+    def score(log_sigma_sq):
+        raw = _llrs_from_d2(d2, constellation, math.exp(log_sigma_sq))
+        return bmi(bits, LlrFrame(np.clip(raw, -clamp, clamp), clamp), constellation)
+
+    return score
+
+
+_SHAPING_END = {}
+
+
+def _shaped_qam(order: int, lam_fraction: float) -> Constellation:
+    """Square QAM shaped with lam_fraction times the Maxwell-Boltzmann
+    parameter that brings it to 2.5 bit (QPSK shaping is the identity)."""
+    base = build_qam(order)
+    if order not in _SHAPING_END:
+        _SHAPING_END[order] = shape_for_entropy(base, 2.5)[1] if order > 4 else 1.0
+    return maxwell_boltzmann_shape(base, lam_fraction * _SHAPING_END[order])
 
 
 class TestLlrs:
@@ -50,6 +131,37 @@ class TestLlrs:
                 expected = float(mpmath.log(num / den))
                 assert abs(frame.llrs[k, b] - expected) <= 1e-10 * max(1.0, abs(expected))
 
+    def test_decision_boundary_rows_match_extended_precision(self):
+        # At sigma^2 = 1e-6 only rows within about 1e-5 of a decision
+        # boundary keep an unclamped LLR. There the X-wide oracle's
+        # |x|^2 + |p|^2 - 2 Re(x p*) loses ~1e-15 to cancellation, which the
+        # division by sigma^2 turns into LLR errors of up to ~4e-8 at
+        # 256-QAM; the per-axis offsets do not cancel.
+        constellation = _shaped_qam(256, 0.5)
+        levels = constellation.axis_decomposition().levels[0]
+        rng = np.random.default_rng(41)
+        mids = 0.5 * (levels[:-1] + levels[1:])
+        x_hat = rng.choice(mids, 4) + 2e-6 * rng.uniform(-1, 1, 4) + 1j * rng.choice(levels, 4)
+        sigma_sq = 1e-6
+        frame = llrs(x_hat, constellation, sigma_demap_sq=sigma_sq, clamp=1e9)
+        mpmath.mp.dps = 50
+        checked = 0
+        for k in range(4):
+            for b in range(4):  # the in-phase bits
+                sums = [mpmath.mpf(0), mpmath.mpf(0)]
+                for p, x, label in zip(
+                    constellation.probs, constellation.points, constellation.bit_labels
+                ):
+                    d2 = (mpmath.mpf(x_hat[k].real) - mpmath.mpf(x.real)) ** 2 + (
+                        mpmath.mpf(x_hat[k].imag) - mpmath.mpf(x.imag)
+                    ) ** 2
+                    sums[label[b]] += mpmath.mpf(p) * mpmath.exp(-d2 / sigma_sq)
+                expected = float(mpmath.log(sums[0] / sums[1]))
+                if abs(expected) < DEFAULT_CLAMP:
+                    checked += 1
+                    assert abs(frame.llrs[k, b] - expected) <= 1e-9
+        assert checked >= 4  # one boundary bit per row at least
+
     def test_clamp_applied(self, shaped64):
         frame = llrs(shaped64.points, shaped64, sigma_demap_sq=1e-6, clamp=50.0)
         assert np.max(np.abs(frame.llrs)) <= 50.0
@@ -57,6 +169,102 @@ class TestLlrs:
     def test_rejects_bad_variance(self, qpsk):
         with pytest.raises(ValueError):
             llrs(np.zeros(2, dtype=complex), qpsk, sigma_demap_sq=0.0)
+
+
+class TestSeparableKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.sampled_from([4, 16, 64, 256]),
+        lam_fraction=st.floats(0.0, 1.0),
+        log_sigma_sq=st.floats(*LOG_SIGMA_RANGE),
+        noise_scale=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_xwide_oracle(self, order, lam_fraction, log_sigma_sq, noise_scale, seed):
+        constellation = _shaped_qam(order, lam_fraction)
+        sigma_sq = math.exp(log_sigma_sq)
+        rng = np.random.default_rng(seed)
+        near = rng.choice(constellation.points, 48) + noise_scale * math.sqrt(sigma_sq) * (
+            rng.standard_normal(48) + 1j * rng.standard_normal(48)
+        )
+        # rows beyond the outermost levels, whose LLRs sit past the clamp
+        far = rng.uniform(-3.0, 3.0, 16) + 1j * rng.uniform(-3.0, 3.0, 16)
+        x_hat = np.concatenate([near, far])
+        got = llrs(x_hat, constellation, sigma_sq).llrs
+        want = np.clip(
+            _llrs_from_d2(_demapper_d2(x_hat, constellation), constellation, sigma_sq),
+            -DEFAULT_CLAMP,
+            DEFAULT_CLAMP,
+        )
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        target_bits=st.floats(4.0, 6.0),
+        snr_db=st.floats(6.0, 14.0),
+        phase_error=st.floats(0.0, 0.05),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_brent_matches_golden(self, target_bits, snr_db, phase_error, seed):
+        # Below about 15 dB the frame's BMI has a strict maximum in sigma^2.
+        # Nearer noiseless frames saturate every LLR at small sigma^2, the
+        # BMI is flat at H there, and both searches return equal BMIs at
+        # different, equally valid variances.
+        constellation, _ = shape_for_entropy(build_qam(64), target_bits)
+        params = ChannelParams(snr_db=snr_db, sigma_theta_sq=0.0, num_symbols=2048, seed=seed)
+        trace = transmit(constellation, params)
+        x_hat = trace.rx_symbols * np.exp(-1j * phase_error)
+        score = _oracle_score(x_hat, trace.bits, constellation)
+        log_golden, bmi_golden = _golden_section_max(score, *LOG_SIGMA_RANGE, tol=1e-4)
+
+        calls = []
+
+        def counted(log_sigma_sq):
+            calls.append(log_sigma_sq)
+            return score(log_sigma_sq)
+
+        log_brent, bmi_brent = _brent_max(counted, *LOG_SIGMA_RANGE, tol=1e-4)
+        assert len(calls) <= 15
+        assert abs(bmi_brent - bmi_golden) <= 1e-9
+        assert abs(log_brent - log_golden) <= 1e-3
+
+        # end to end: per-axis kernel and Brent against X-wide and golden
+        sigma_opt, report = optimize_demapper_variance(x_hat, trace.bits, constellation)
+        assert abs(report.bmi_bits - bmi_golden) <= 1e-9
+        assert abs(math.log(sigma_opt) - log_golden) <= 1e-3
+
+    def test_label_permutation_mixing_axes_rejected(self):
+        qam16 = build_qam(16)
+        labels = qam16.bit_labels.copy()
+        # points 0 and 5 differ in both the in-phase and the quadrature level
+        assert qam16.points[0].real != qam16.points[5].real
+        assert qam16.points[0].imag != qam16.points[5].imag
+        labels[[0, 5]] = labels[[5, 0]]
+        mixed = Constellation(qam16.points, qam16.probs, labels, qam16.sym_order)
+        x_hat = np.array([0.1 + 0.2j, -0.3 + 0.4j])
+        with pytest.raises(ValueError, match="depends on both axes"):
+            llrs(x_hat, mixed, 0.1)
+        with pytest.raises(ValueError, match="depends on both axes"):
+            optimize_demapper_variance(x_hat, np.zeros((2, 4), dtype=np.uint8), mixed)
+
+    def test_non_separable_geometry_and_priors_rejected(self):
+        # QPSK rotated onto the axes: three levels per axis, not a 2 x 2 grid
+        qpsk = build_qam(4)
+        diamond = Constellation(
+            qpsk.points * np.exp(1j * np.pi / 4), qpsk.probs, qpsk.bit_labels, 4
+        )
+        with pytest.raises(ValueError, match="product grid"):
+            llrs(np.zeros(1, dtype=complex), diamond, 0.1)
+        # 16-QAM whose priors favour the first and third quadrants
+        qam16 = build_qam(16)
+        tilt = 1.0 + 0.5 * (qam16.points.real * qam16.points.imag > 0)
+        probs = tilt / tilt.sum()
+        energy = float(np.sum(probs * np.abs(qam16.points) ** 2))
+        tilted = Constellation(
+            qam16.points / math.sqrt(energy), probs, qam16.bit_labels, 4
+        )
+        with pytest.raises(ValueError, match="probabilities do not factor"):
+            llrs(np.zeros(1, dtype=complex), tilted, 0.1)
 
 
 class TestBmi:

@@ -17,6 +17,8 @@ from wiener_cpe import (
     train,
     transmit,
 )
+from wiener_cpe import metrics
+from wiener_cpe.metrics import DEFAULT_CLAMP
 from wiener_cpe.training import (
     AdamState,
     adam_init,
@@ -89,30 +91,13 @@ class TestLoss:
 
 
 class TestGrad:
-    def test_matches_finite_differences(self, shaped64):
-        trace = _trace(shaped64, 512, seed=7)
-        cfg = _cfg(4, 8)
-        rng = np.random.default_rng(8)
-        step = 1e-5
-        checked = 0
-        failed = 0
-        for _ in range(10):
-            raw_w = rng.normal(0.0, 0.4, 9)
-            raw_t = float(np.log(0.1) + rng.normal(0.0, 0.3))
-            g_w, g_t = grad(BpsOptParams.from_raw(raw_w, raw_t), trace, cfg, shaped64)
-            grads = np.concatenate([g_w, [g_t]])
-            for i in range(10):
-                plus = _perturbed(raw_w, raw_t, i, +step)
-                minus = _perturbed(raw_w, raw_t, i, -step)
-                fd = (
-                    loss(plus, trace, cfg, shaped64) - loss(minus, trace, cfg, shaped64)
-                ) / (2 * step)
-                checked += 1
-                err = abs(fd - grads[i])
-                if err > 1e-4 * max(abs(fd), abs(grads[i])) and err > 1e-10:
-                    failed += 1
-        assert checked == 100
-        assert failed / checked <= 0.05
+    def test_matches_finite_differences(self, shaped64, monkeypatch):
+        _check_finite_differences(shaped64, DEFAULT_CLAMP, monkeypatch)
+
+    def test_matches_finite_differences_with_saturated_llrs(self, shaped64, monkeypatch):
+        # nearly every LLR sits at a clamp of 5 (about a third do at the
+        # default), so the per-axis clamp mask decides most of the gradient
+        _check_finite_differences(shaped64, 5.0, monkeypatch)
 
     def test_softmax_tangency(self, shaped64):
         # shifting all raw weights leaves the loss unchanged, so the raw
@@ -274,6 +259,43 @@ class TestTrain:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert len(doc["loss_curve"]) == 1
         assert doc["half_window"] == 4
+
+
+def _check_finite_differences(constellation, clamp, monkeypatch):
+    saturated = []
+    forward = metrics.AxisDemapper.llrs
+
+    def recording(self, sigma_sq, clamp):
+        out = forward(self, sigma_sq, clamp)
+        saturated.append(float(np.mean(np.abs(out) == clamp)))
+        return out
+
+    monkeypatch.setattr(metrics.AxisDemapper, "llrs", recording)
+    trace = _trace(constellation, 512, seed=7)
+    cfg = _cfg(4, 8)
+    rng = np.random.default_rng(8)
+    step = 1e-5
+    checked = 0
+    failed = 0
+    for _ in range(10):
+        raw_w = rng.normal(0.0, 0.4, 9)
+        raw_t = float(np.log(0.1) + rng.normal(0.0, 0.3))
+        g_w, g_t = grad(BpsOptParams.from_raw(raw_w, raw_t), trace, cfg, constellation, clamp=clamp)
+        grads = np.concatenate([g_w, [g_t]])
+        for i in range(10):
+            plus = _perturbed(raw_w, raw_t, i, +step)
+            minus = _perturbed(raw_w, raw_t, i, -step)
+            fd = (
+                loss(plus, trace, cfg, constellation, clamp=clamp)
+                - loss(minus, trace, cfg, constellation, clamp=clamp)
+            ) / (2 * step)
+            checked += 1
+            err = abs(fd - grads[i])
+            if err > 1e-4 * max(abs(fd), abs(grads[i])) and err > 1e-10:
+                failed += 1
+    assert checked == 100
+    assert min(saturated) >= 0.01
+    assert failed / checked <= 0.05
 
 
 def _perturbed(raw_w, raw_t, index, delta):
