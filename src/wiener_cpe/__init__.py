@@ -17,7 +17,6 @@ from .estimators import (
     PhaseGrid,
     bps_estimate,
     bps_opt_estimate,
-    brute_force_map,
     build_factor_tables,
     cpn_estimate,
     make_grid,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -107,21 +106,3 @@ def transmit(constellation: Constellation, params: ChannelParams) -> ChannelTrac
         y = y + math.sqrt(sigma_n_sq / 2.0) * noise
     return ChannelTrace(bits, x, phi, y, params, sigma_n_sq)
 
-
-def trace_to_csv(trace: ChannelTrace, path) -> None:
-    """Columnar dump (k, bits, x_re, x_im, phi, y_re, y_im) for diffing."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "bits", "x_re", "x_im", "phi", "y_re", "y_im"])
-        for k in range(trace.params.num_symbols):
-            writer.writerow(
-                [
-                    k,
-                    "".join(str(b) for b in trace.bits[k]),
-                    f"{trace.tx_symbols[k].real:.17g}",
-                    f"{trace.tx_symbols[k].imag:.17g}",
-                    f"{trace.phase_path[k]:.17g}",
-                    f"{trace.rx_symbols[k].real:.17g}",
-                    f"{trace.rx_symbols[k].imag:.17g}",
-                ]
-            )

@@ -18,7 +18,6 @@ the argmax.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -28,9 +27,8 @@ from scipy.special import logsumexp
 from .constellation import Constellation
 from .numerics import softmax, wrap_sector
 
-_TABLE_CHUNK_BYTES = 2**20
+_TABLE_CHUNK_BYTES = 2**16
 _BP_BLOCK_ROWS = 1024
-_BRUTE_FORCE_LIMIT = 10_000_000
 _DEGENERATE_Q_FLOOR = 1e-12
 
 
@@ -165,49 +163,48 @@ def _distance_tables(
     want_min: bool,
     want_log_r: bool,
 ):
-    """Shared chunked pass over |y_k - x e^{j phi_m}|^2.
+    """Shared chunked pass over |y_k - x e^{j phi_m}|^2, one axis at a time.
 
-    The squared distances are assembled from |y|^2 + |x|^2 - 2 Re(y conj(x))
-    with the cross terms as one real matrix product per chunk, which is both
-    faster and lighter on memory than materializing complex differences.
-    Chunks are sized in bytes, not rows: each (rows, M, X) float64 partial
-    holds ``_TABLE_CHUNK_BYTES`` (1 MiB, 34 rows at M=60, X=64), so the
-    min, max, exp and sum passes over it find it in cache; the last chunk
-    takes the remainder. Every row is computed on its own, so the budget
-    never changes a bit of the output, provided no chunk is a single row:
-    numpy sends a one-row product to gemv, which rounds the cross terms
-    differently from gemm. Hence chunks of at least 2 rows.
+    Rotation keeps distances, so |y - x e^{j phi}|^2 = |z - x|^2 with
+    z = y e^{-j phi}. The constellation must be separable (see
+    ``Constellation.axis_decomposition``; ValueError otherwise): x = a + jb
+    runs over a product of in-phase levels a and quadrature levels b with
+    P(x) = P_I(a) P_Q(b), so both tables split into per-axis terms over
+    sqrt(X) levels each, with c the axis's coordinate of z:
+
+        d_min = sum over axes of min_l (c - l)^2
+        log R = sum over axes of logsumexp_l(log P(l) - (c - l)^2 / (2 sigma^2))
+
+    That is 2 sqrt(X) exponentials per (k, m) instead of X, and the offsets
+    c - l lose nothing to cancellation. Chunks are sized in bytes: each
+    (rows, M) float64 plane holds ``_TABLE_CHUNK_BYTES`` (64 KiB, 136 rows
+    at M=60), so a chunk's (levels, rows, M) offsets stay in cache; the
+    last chunk takes the remainder. Every entry depends on its own row
+    alone, so the budget never changes a bit of the output, down to
+    one-row chunks.
     """
     y = np.asarray(y, dtype=np.complex128)
-    rotated = (np.exp(1j * grid.phases)[:, None] * constellation.points[None, :]).ravel()
-    rot_ri = np.stack([rotated.real, rotated.imag])  # (2, M*X)
-    point_sq = (np.abs(constellation.points) ** 2)[None, None, :]
-    num_points = constellation.num_points
-    log_p = np.log(constellation.probs)[None, None, :] if want_log_r else None
-
-    d_min = np.empty((y.size, grid.m_count)) if want_min else None
-    log_r = np.empty((y.size, grid.m_count)) if want_log_r else None
+    axes = constellation.axis_decomposition()
+    cos, sin = np.cos(grid.phases), np.sin(grid.phases)
+    d_min = np.zeros((y.size, grid.m_count)) if want_min else None
+    log_r = np.zeros((y.size, grid.m_count)) if want_log_r else None
     inv2s = 1.0 / (2.0 * sigma_n_sq) if want_log_r else 0.0
-    chunk = max(2, _TABLE_CHUNK_BYTES // (8 * grid.m_count * num_points))
+    chunk = max(1, _TABLE_CHUNK_BYTES // (8 * grid.m_count))
     for start, stop in _row_blocks(y.size, chunk):
-        yc = y[start:stop]
-        y_sq = (np.abs(yc) ** 2)[:, None]
-        cross = np.stack([yc.real, yc.imag], axis=1) @ rot_ri  # (k, M*X)
-        # partial = |x|^2 - 2 Re(y conj(x e^{j phi})); d2 = partial + |y|^2
-        partial = cross.reshape(stop - start, grid.m_count, num_points)
-        partial *= -2.0
-        partial += point_sq
-        if want_min:
-            d_min[start:stop] = partial.min(axis=2) + y_sq
-        if want_log_r:
-            # exponent = log P(x) - d2/(2 sigma^2); the -|y|^2 term is a
-            # per-symbol constant and cancels against the row peak
-            partial *= -inv2s
-            partial += log_p
-            peak = partial.max(axis=2)
-            partial -= peak[:, :, None]
-            np.exp(partial, out=partial)
-            log_r[start:stop] = peak + np.log(partial.sum(axis=2)) - y_sq * inv2s
+        u, v = y.real[start:stop, None], y.imag[start:stop, None]
+        coords = (u * cos + v * sin, v * cos - u * sin)  # z = y e^{-j phi}
+        for coord, levels, log_prior in zip(coords, axes.levels, axes.log_priors):
+            d2 = coord[None] - levels[:, None, None]  # (levels, rows, M)
+            np.square(d2, out=d2)
+            if want_min:
+                d_min[start:stop] += d2.min(axis=0)
+            if want_log_r:
+                d2 *= -inv2s
+                d2 += log_prior[:, None, None]
+                peak = d2.max(axis=0)
+                d2 -= peak
+                np.exp(d2, out=d2)
+                log_r[start:stop] += peak + np.log(d2.sum(axis=0))
     return d_min, log_r
 
 
@@ -440,41 +437,6 @@ def map_bp_estimate(
     return estimates
 
 
-def brute_force_map(y_window, cfg: EstimatorConfig, constellation: Constellation):
-    """Exact center marginal by direct enumeration over grid^(2N+1).
-
-    Test oracle only: refuses when M^(2N+1) exceeds 10^7. Returns the
-    argmax phase and the normalized probability marginal of the center
-    variable.
-    """
-    y_window = np.asarray(y_window, dtype=np.complex128)
-    window = 2 * cfg.half_window + 1
-    if y_window.size != window:
-        raise ValueError(f"window must contain exactly {window} symbols")
-    m = cfg.grid.m_count
-    if m**window > _BRUTE_FORCE_LIMIT:
-        raise ValueError("enumeration size guard exceeded")
-    tables = build_factor_tables(y_window, cfg, constellation)
-
-    shape = (m,) * window
-    log_w = np.zeros(shape)
-    for pos in range(window):
-        sh = [1] * window
-        sh[pos] = m
-        log_w = log_w + tables.r_table[pos].reshape(sh)
-        if pos > 0:
-            sh_q = [1] * window
-            sh_q[pos - 1] = m
-            sh_q[pos] = m
-            log_w = log_w + tables.q_matrix.reshape(sh_q)
-    center = window // 2
-    other_axes = tuple(a for a in range(window) if a != center)
-    log_marginal = logsumexp(log_w, axis=other_axes) if other_axes else log_w
-    log_marginal = log_marginal - logsumexp(log_marginal)
-    marginal = np.exp(log_marginal)
-    return float(cfg.grid.phases[int(np.argmax(marginal))]), marginal
-
-
 def softmin(x, t: float) -> np.ndarray:
     """exp(-x_i/t) / sum_j exp(-x_j/t), stabilized by subtracting the minimum."""
     if t <= 0:
@@ -519,11 +481,3 @@ def bps_opt_estimate(
         estimates[collapsed] = cfg.grid.phases[np.argmin(weighted[collapsed], axis=1)]
     return estimates
 
-
-def estimates_to_csv(phi_true, phi_hat_raw, path) -> None:
-    """Per-symbol estimate dump (k, phi_true, phi_hat_raw)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "phi_true", "phi_hat_raw"])
-        for k, (pt, ph) in enumerate(zip(phi_true, phi_hat_raw)):
-            writer.writerow([k, f"{pt:.17g}", f"{ph:.17g}"])

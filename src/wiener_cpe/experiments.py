@@ -53,8 +53,9 @@ KNOWN_ALGORITHMS = ("bps", "cpn", "map_bp", "bps_opt")
 # the config hash, so cells cached by code that computed different results
 # are recomputed on resume instead of being mixed in. Bump it whenever a
 # change moves any BMI or sigma_opt digit. 2: per-axis demapper and bounded
-# Brent variance search.
-RESULTS_VERSION = 2
+# Brent variance search. 3: per-axis distance tables, and sigma_opt = 1e-6 on
+# frames whose BMI is flat at its maximum.
+RESULTS_VERSION = 3
 
 WORKERS_ENV_VAR = "WIENER_CPE_WORKERS"
 

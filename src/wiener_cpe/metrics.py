@@ -255,6 +255,13 @@ def optimize_demapper_variance(
     in the log domain. The per-axis offsets are computed once and shared by
     every candidate variance. A frame of identical symbols cannot carry
     information about the variance and is returned flagged as degenerate.
+
+    The smallest variance, 1e-6, is scored first. If every LLR there sits
+    at the clamp with the correct sign, each bit's cross entropy is at its
+    floor softplus(-clamp), which no variance can undercut since |L| <= clamp
+    everywhere: the BMI is flat at its maximum and 1e-6 is returned without
+    a search. Such frames (noiseless, or 24 dB at small phase noise) would
+    otherwise get an arbitrary point of the flat top.
     """
     x_hat = np.asarray(x_hat, dtype=np.complex128)
     bits = np.asarray(bits)
@@ -276,10 +283,16 @@ def optimize_demapper_variance(
         sigma_sq = math.sqrt(SIGMA_SQ_RANGE[0] * SIGMA_SQ_RANGE[1])
         best = score(math.log(sigma_sq))
     else:
-        log_best, best = _brent_max(
-            score, math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]), tol=1e-4
-        )
-        sigma_sq = math.exp(log_best)
+        sigma_sq = SIGMA_SQ_RANGE[0]
+        floor = demapper.llrs(sigma_sq, clamp) * neg_sign
+        if np.all(floor == -clamp):
+            best = entropy - float(softplus(floor).sum()) * scale
+        else:
+            floor = None  # not kept alive through the search
+            log_best, best = _brent_max(
+                score, math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]), tol=1e-4
+            )
+            sigma_sq = math.exp(log_best)
 
     clamped = min(max(best, 0.0), entropy)
     report = BmiReport(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,19 +72,3 @@ def postprocess(phi_hat_raw, y, phi_true, sym_order: int) -> CorrectedTrace:
     corrected, events = cycle_slip_correct(unwrapped, phi_true, sym_order)
     return CorrectedTrace(unwrapped, corrected, derotate(y, corrected), events)
 
-
-def corrected_to_csv(phi_true, phi_raw, corrected: CorrectedTrace, path) -> None:
-    """Residual-phase inspection dump."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "phi_true", "phi_raw", "phi_unwrapped", "phi_corrected"])
-        for k in range(len(phi_true)):
-            writer.writerow(
-                [
-                    k,
-                    f"{phi_true[k]:.17g}",
-                    f"{phi_raw[k]:.17g}",
-                    f"{corrected.phi_hat_unwrapped[k]:.17g}",
-                    f"{corrected.phi_hat_corrected[k]:.17g}",
-                ]
-            )

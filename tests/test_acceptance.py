@@ -21,7 +21,6 @@ from wiener_cpe import (
     ExperimentConfig,
     bps_estimate,
     bps_opt_estimate,
-    brute_force_map,
     build_qam,
     cpn_estimate,
     make_grid,
@@ -38,6 +37,10 @@ from wiener_cpe import (
 from wiener_cpe.estimators import weighted_window_sums
 from wiener_cpe.numerics import wrap_sector
 from wiener_cpe.training import TrainSchedule, grad, loss, train
+
+from oracles import brute_force_map
+
+pytestmark = pytest.mark.acceptance
 
 SEED = 4242
 SNR_LIST = (16.0, 20.0, 24.0)

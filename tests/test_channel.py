@@ -7,7 +7,6 @@ import pytest
 from scipy import stats
 
 from wiener_cpe import ChannelParams, phase_path, snr_to_noise_var, transmit
-from wiener_cpe.channel import trace_to_csv
 
 
 class TestPhasePath:
@@ -117,15 +116,3 @@ class TestTransmit:
         with pytest.raises(ValueError):
             ChannelParams(snr_db=10.0, sigma_theta_sq=0.0, num_symbols=0, seed=0)
 
-
-def test_trace_csv_schema(tmp_path, qpsk):
-    params = ChannelParams(snr_db=15.0, sigma_theta_sq=1e-4, num_symbols=8, seed=9)
-    trace = transmit(qpsk, params)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "k,bits,x_re,x_im,phi,y_re,y_im"
-    assert len(lines) == 9
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert len(first[1]) == qpsk.bits_per_symbol

@@ -11,10 +11,11 @@ from scipy.special import logsumexp
 from wiener_cpe import (
     BpsOptParams,
     ChannelParams,
+    Constellation,
     EstimatorConfig,
+    FactorTables,
     bps_estimate,
     bps_opt_estimate,
-    brute_force_map,
     build_factor_tables,
     build_qam,
     cpn_estimate,
@@ -34,6 +35,8 @@ from wiener_cpe.estimators import (
     weighted_window_sums,
 )
 from wiener_cpe.numerics import wrap_sector
+
+from oracles import brute_force_map, shaped_qam
 
 
 def _cfg(half_window, m_count, sigma_n_sq=0.01, sigma_theta_sq=1.18e-4, **kw):
@@ -320,17 +323,136 @@ class TestBlockedBp:
         params = ChannelParams(snr_db=20.0, sigma_theta_sq=1.18e-4, num_symbols=301, seed=24)
         trace = transmit(shaped64, params)
         grid = make_grid(60, 4)
-        row_bytes = 8 * grid.m_count * shaped64.num_points
+        row_bytes = 8 * grid.m_count
 
         def tables():
             return _distance_tables(trace.rx_symbols, grid, shaped64, 0.005, True, True)
 
         d_default, r_default = tables()
-        for budget in (1, row_bytes * (trace.rx_symbols.size + 1)):
+        # one-row chunks, ragged 7-row chunks, and a single chunk
+        for budget in (1, 7 * row_bytes, row_bytes * (trace.rx_symbols.size + 1)):
             monkeypatch.setattr(estimators, "_TABLE_CHUNK_BYTES", budget)
             d_min, log_r = tables()
             np.testing.assert_array_equal(d_min, d_default)
             np.testing.assert_array_equal(log_r, r_default)
+
+
+def _xwide_tables(y, grid, constellation, sigma_n_sq, rows=256):
+    """Reference d_min and log R over all X points: the cross terms
+    Re(y conj(x e^{j phi})) of a chunk as one matrix product, then
+    |x|^2 - 2 Re(...) reduced over the points and |y|^2 added back, the
+    X-wide form the per-axis kernel replaced."""
+    y = np.asarray(y, dtype=np.complex128)
+    rotated = (np.exp(1j * grid.phases)[:, None] * constellation.points[None, :]).ravel()
+    rot_ri = np.stack([rotated.real, rotated.imag])
+    point_sq = np.abs(constellation.points) ** 2
+    log_p = np.log(constellation.probs)
+    inv2s = 1.0 / (2.0 * sigma_n_sq)
+    d_min = np.empty((y.size, grid.m_count))
+    log_r = np.empty((y.size, grid.m_count))
+    for start in range(0, y.size, rows):
+        yc = y[start : start + rows]
+        y_sq = (np.abs(yc) ** 2)[:, None]
+        cross = np.stack([yc.real, yc.imag], axis=1) @ rot_ri
+        partial = point_sq - 2.0 * cross.reshape(yc.size, grid.m_count, -1)
+        d_min[start : start + rows] = partial.min(axis=2) + y_sq
+        log_r[start : start + rows] = logsumexp(log_p - partial * inv2s, axis=2) - y_sq * inv2s
+    return d_min, log_r
+
+
+class TestAxisTables:
+    """The per-axis d_min and log R against the X-wide oracle, extended
+    precision, chunking, and the estimates they feed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        order=st.sampled_from([4, 16, 64, 256]),
+        lam_fraction=st.floats(0.0, 1.0),
+        log_sigma_n_sq=st.floats(math.log(1e-6), 0.0),
+        m_count=st.integers(2, 64),
+        noise_scale=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_xwide_oracle(
+        self, order, lam_fraction, log_sigma_n_sq, m_count, noise_scale, seed
+    ):
+        constellation = shaped_qam(order, lam_fraction)
+        sigma_n_sq = math.exp(log_sigma_n_sq)
+        grid = make_grid(m_count, 4)
+        rng = np.random.default_rng(seed)
+        near = rng.choice(constellation.points, 48) * np.exp(
+            1j * rng.uniform(-np.pi, np.pi, 48)
+        ) + noise_scale * math.sqrt(sigma_n_sq) * (
+            rng.standard_normal(48) + 1j * rng.standard_normal(48)
+        )
+        far = rng.uniform(-3.0, 3.0, 16) + 1j * rng.uniform(-3.0, 3.0, 16)
+        y = np.concatenate([near, far])
+        d_min, log_r = _distance_tables(y, grid, constellation, sigma_n_sq, True, True)
+        d_want, r_want = _xwide_tables(y, grid, constellation, sigma_n_sq)
+        # the oracle's |y|^2 + |x|^2 - 2 Re(.) cancels terms of this size
+        scale = (np.abs(y) ** 2)[:, None] + np.max(np.abs(constellation.points) ** 2)
+        assert np.max(np.abs(d_min - d_want) / scale) <= 1e-12
+        assert np.max(np.abs(log_r - r_want) / np.maximum(1.0, np.abs(r_want))) <= 1e-9
+
+    def test_decision_boundary_rows_match_extended_precision(self):
+        # At sigma_n^2 = 1e-6 the X-wide |y|^2 + |x|^2 - 2 Re(.) loses
+        # ~1e-16 (|y|^2 + |x|^2) to cancellation, which the division by
+        # 2 sigma^2 turns into relative log R errors of up to ~1e-13 on these
+        # rows; the per-axis offsets c - l do not cancel and stay within a
+        # few ulps. Rows sit within 2e-6 of an in-phase decision boundary of
+        # 256-QAM at one rotated grid phase, where the two nearest levels
+        # weigh about equally.
+        constellation = build_qam(256)
+        levels = constellation.axis_decomposition().levels
+        grid = make_grid(8, 4)
+        m_check = 3
+        rng = np.random.default_rng(43)
+        mids = 0.5 * (levels[0][:-1] + levels[0][1:])
+        z = rng.choice(mids, 8) + 2e-6 * rng.uniform(-1, 1, 8) + 1j * rng.choice(levels[1], 8)
+        y = z * np.exp(1j * grid.phases[m_check])
+        sigma_n_sq = 1e-6
+        log_r = r_table(y, grid, constellation, sigma_n_sq)
+        mpmath.mp.dps = 50
+        rot = mpmath.expjpi(-mpmath.mpf(grid.phases[m_check]) / mpmath.pi)
+        for k in range(y.size):
+            zk = mpmath.mpc(y[k].real, y[k].imag) * rot
+            total = mpmath.mpf(0)
+            for p, x in zip(constellation.probs, constellation.points):
+                d2 = abs(zk - mpmath.mpc(x.real, x.imag)) ** 2
+                total += mpmath.mpf(p) * mpmath.exp(-d2 / (2 * sigma_n_sq))
+            expected = float(mpmath.log(total))
+            assert abs(log_r[k, m_check] - expected) <= 1e-14 * abs(expected)
+
+    def test_estimates_match_oracle_tables(self, shaped64):
+        params = ChannelParams(snr_db=20.0, sigma_theta_sq=1.18e-4, num_symbols=2**12, seed=25)
+        trace = transmit(shaped64, params)
+        cfg = _cfg(32, 60, sigma_n_sq=trace.sigma_n_sq / 2)
+        y = trace.rx_symbols
+        d_min, log_r = _distance_tables(y, cfg.grid, shaped64, cfg.sigma_n_sq, True, True)
+        d_want, r_want = _xwide_tables(y, cfg.grid, shaped64, cfg.sigma_n_sq)
+        log_q = q_matrix(cfg.grid, cfg.sigma_theta_sq, cfg.wrap_terms)
+        got, want = FactorTables(log_r, log_q), FactorTables(r_want, log_q)
+        np.testing.assert_array_equal(
+            bps_estimate(y, cfg, shaped64, d_table=d_min),
+            bps_estimate(y, cfg, shaped64, d_table=d_want),
+        )
+        np.testing.assert_array_equal(
+            cpn_estimate(y, cfg, shaped64, tables=got), cpn_estimate(y, cfg, shaped64, tables=want)
+        )
+        np.testing.assert_array_equal(
+            map_bp_estimate(y, cfg, shaped64, tables=got),
+            map_bp_estimate(y, cfg, shaped64, tables=want),
+        )
+
+    def test_rotated_constellation_rejected(self):
+        # QPSK rotated onto the axes has three levels per axis, no product grid
+        qpsk = build_qam(4)
+        diamond = Constellation(qpsk.points * np.exp(1j * np.pi / 4), qpsk.probs, qpsk.bit_labels, 4)
+        y = np.array([0.3 + 0.1j, -0.2 + 0.5j])
+        with pytest.raises(ValueError, match="product grid"):
+            min_distance_table(y, make_grid(8, 4), diamond)
+        with pytest.raises(ValueError, match="product grid"):
+            r_table(y, make_grid(8, 4), diamond, 0.1)
 
 
 class TestBruteForce:
@@ -526,15 +648,6 @@ class TestSharedProperties:
             lambda: bps_opt_estimate(trace.rx_symbols, cfg, shaped64, opt),
         ):
             np.testing.assert_array_equal(call(), call())
-
-    def test_estimates_csv_schema(self, tmp_path, shaped64):
-        from wiener_cpe.estimators import estimates_to_csv
-
-        path = tmp_path / "estimates.csv"
-        estimates_to_csv(np.zeros(4), np.full(4, 0.1), path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,phi_true,phi_hat_raw"
-        assert len(lines) == 5
 
     def test_bp_oracle_equivalence_batch(self, shaped64):
         # reduced version of the acceptance criterion for quick feedback

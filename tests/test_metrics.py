@@ -15,13 +15,21 @@ from wiener_cpe import (
     bmi,
     build_qam,
     llrs,
-    maxwell_boltzmann_shape,
     optimize_demapper_variance,
     shape_for_entropy,
     transmit,
 )
 from wiener_cpe.constellation import entropy_bits
-from wiener_cpe.metrics import DEFAULT_CLAMP, SIGMA_SQ_RANGE, _brent_max
+from wiener_cpe.metrics import (
+    DEFAULT_CLAMP,
+    SIGMA_SQ_RANGE,
+    AxisDemapper,
+    _brent_max,
+    bit_signs,
+    softplus,
+)
+
+from oracles import shaped_qam
 
 LOG_SIGMA_RANGE = (math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]))
 
@@ -87,18 +95,6 @@ def _oracle_score(x_hat, bits, constellation, clamp=DEFAULT_CLAMP):
     return score
 
 
-_SHAPING_END = {}
-
-
-def _shaped_qam(order: int, lam_fraction: float) -> Constellation:
-    """Square QAM shaped with lam_fraction times the Maxwell-Boltzmann
-    parameter that brings it to 2.5 bit (QPSK shaping is the identity)."""
-    base = build_qam(order)
-    if order not in _SHAPING_END:
-        _SHAPING_END[order] = shape_for_entropy(base, 2.5)[1] if order > 4 else 1.0
-    return maxwell_boltzmann_shape(base, lam_fraction * _SHAPING_END[order])
-
-
 class TestLlrs:
     def test_sign_matches_bits_on_exact_point(self, shaped64):
         frame = llrs(shaped64.points, shaped64, sigma_demap_sq=1e-4)
@@ -137,7 +133,7 @@ class TestLlrs:
         # |x|^2 + |p|^2 - 2 Re(x p*) loses ~1e-15 to cancellation, which the
         # division by sigma^2 turns into LLR errors of up to ~4e-8 at
         # 256-QAM; the per-axis offsets do not cancel.
-        constellation = _shaped_qam(256, 0.5)
+        constellation = shaped_qam(256, 0.5)
         levels = constellation.axis_decomposition().levels[0]
         rng = np.random.default_rng(41)
         mids = 0.5 * (levels[:-1] + levels[1:])
@@ -181,7 +177,7 @@ class TestSeparableKernel:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_xwide_oracle(self, order, lam_fraction, log_sigma_sq, noise_scale, seed):
-        constellation = _shaped_qam(order, lam_fraction)
+        constellation = shaped_qam(order, lam_fraction)
         sigma_sq = math.exp(log_sigma_sq)
         rng = np.random.default_rng(seed)
         near = rng.choice(constellation.points, 48) + noise_scale * math.sqrt(sigma_sq) * (
@@ -361,6 +357,55 @@ class TestVarianceOptimizer:
             bmi(trace.bits, llrs(trace.rx_symbols, shaped64, s), shaped64) for s in grid
         )
         assert report.bmi_bits >= scan_best - 1e-4
+
+    @pytest.mark.parametrize("snr_db", [math.inf, 30.0])
+    def test_flat_top_frame_returns_smallest_variance(self, shaped64, snr_db, monkeypatch):
+        # every LLR clamps with the right sign at sigma^2 = 1e-6, so the BMI
+        # is flat at its maximum there and one scoring call settles it
+        params = ChannelParams(snr_db=snr_db, sigma_theta_sq=0.0, num_symbols=2**12, seed=44)
+        trace = transmit(shaped64, params)
+        calls = []
+        kernel = AxisDemapper.llrs
+
+        def counted(self, sigma_sq, clamp):
+            calls.append(sigma_sq)
+            return kernel(self, sigma_sq, clamp)
+
+        monkeypatch.setattr(AxisDemapper, "llrs", counted)
+        sigma_opt, report = optimize_demapper_variance(trace.rx_symbols, trace.bits, shaped64)
+        assert calls == [SIGMA_SQ_RANGE[0]]
+        assert sigma_opt == SIGMA_SQ_RANGE[0]
+        score = _oracle_score(trace.rx_symbols, trace.bits, shaped64)
+        _, bmi_brent = _brent_max(score, *LOG_SIGMA_RANGE, tol=1e-4)
+        assert abs(report.bmi_bits - bmi_brent) <= 1e-12
+
+    @pytest.mark.parametrize("snr_db", [20.0, math.inf])
+    def test_frame_with_unclamped_llrs_keeps_brent_result(self, shaped64, snr_db):
+        # the search the flat-top check runs ahead of, spelled out; the
+        # noiseless frame gets one symbol 1e-5 inside an in-phase decision
+        # boundary, whose LLR has the correct sign but stays below the clamp
+        params = ChannelParams(snr_db=snr_db, sigma_theta_sq=0.0, num_symbols=2**12, seed=45)
+        trace = transmit(shaped64, params)
+        x_hat = trace.rx_symbols.copy()
+        if math.isinf(snr_db):
+            levels = shaped64.axis_decomposition().levels[0]
+            own = int(np.argmin(np.abs(levels - x_hat[0].real)))
+            other = own + 1 if own + 1 < levels.size else own - 1
+            mid = 0.5 * (levels[own] + levels[other])
+            x_hat[0] = mid + 1e-5 * np.sign(levels[own] - mid) + 1j * x_hat[0].imag
+        demapper = AxisDemapper(x_hat, shaped64.axis_decomposition())
+        neg_sign = np.ascontiguousarray(-bit_signs(trace.bits).T)
+        scale = 1.0 / (x_hat.size * math.log(2.0))
+
+        def score(log_sigma_sq):
+            llr = demapper.llrs(math.exp(log_sigma_sq), DEFAULT_CLAMP)
+            return shaped64.entropy() - float(softplus(llr * neg_sign).sum()) * scale
+
+        log_brent, bmi_brent = _brent_max(score, *LOG_SIGMA_RANGE, tol=1e-4)
+        sigma_opt, report = optimize_demapper_variance(x_hat, trace.bits, shaped64)
+        assert sigma_opt == math.exp(log_brent)
+        assert report.bmi_bits == bmi_brent
+        assert sigma_opt > SIGMA_SQ_RANGE[0]
 
     def test_degenerate_frame_flagged(self, qpsk):
         x_hat = np.full(64, 0.5 + 0.5j)

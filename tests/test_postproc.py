@@ -118,16 +118,3 @@ class TestPostprocessPipeline:
         )
         assert np.max(np.abs(result.phi_hat_corrected - phi_true)) < np.pi / 4
 
-    def test_csv_schema(self, tmp_path):
-        from wiener_cpe.postproc import corrected_to_csv
-
-        rng = np.random.default_rng(5)
-        y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        phi_true = np.zeros(8)
-        phi_raw = rng.uniform(-0.1, 0.1, 8)
-        result = postprocess(phi_raw, y, phi_true, 4)
-        path = tmp_path / "resid.csv"
-        corrected_to_csv(phi_true, phi_raw, result, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,phi_true,phi_raw,phi_unwrapped,phi_corrected"
-        assert len(lines) == 9
