@@ -4,7 +4,6 @@ from .channel import ChannelParams, ChannelTrace, phase_path, snr_to_noise_var, 
 from .constellation import (
     Constellation,
     build_qam,
-    entropy,
     entropy_bits,
     maxwell_boltzmann_shape,
     sample,

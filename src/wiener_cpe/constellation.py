@@ -118,9 +118,6 @@ class Constellation:
     def bits_per_symbol(self) -> int:
         return self.points.size.bit_length() - 1
 
-    def entropy(self) -> float:
-        return entropy_bits(self.probs)
-
     def axis_decomposition(self) -> AxisDecomposition:
         """Factor the constellation into an in-phase and a quadrature axis.
 
@@ -274,7 +271,7 @@ def shape_for_entropy(
         else:
             hi = lam
     shaped = maxwell_boltzmann_shape(c, lam)
-    if abs(shaped.entropy() - target_bits) > 1e-6:
+    if abs(entropy_bits(shaped.probs) - target_bits) > 1e-6:
         raise RuntimeError("entropy bisection failed to converge")
     return shaped, lam
 
@@ -293,8 +290,3 @@ def sample(c: Constellation, count: int, rng_seed: int) -> tuple[np.ndarray, np.
     idx = np.searchsorted(cdf, rng.random(count), side="right")
     idx = np.minimum(idx, c.num_points - 1)
     return c.bit_labels[idx].copy(), c.points[idx].copy()
-
-
-def entropy(c: Constellation) -> float:
-    """Symbol entropy -sum p log2 p in bits."""
-    return entropy_bits(c.probs)

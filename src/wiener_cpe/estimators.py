@@ -314,23 +314,6 @@ def cpn_estimate(y, cfg: EstimatorConfig, constellation: Constellation, tables=N
 _MESSAGE_FLOOR = 1e-300
 
 
-def _propagate(messages, r_lin_block, q_lin, log_r_block):
-    # One sum-product step for a batch of messages: multiply in the
-    # emission, renormalize each row by its peak (the log-domain
-    # normalization, done in linear arithmetic), push through the
-    # transition matrix. Rows whose linear product underflows entirely are
-    # recomputed through the log domain, which always has a finite peak.
-    v = messages * r_lin_block
-    peak = v.max(axis=1, keepdims=True)
-    dead = peak[:, 0] < _MESSAGE_FLOOR
-    if np.any(dead):
-        with np.errstate(divide="ignore"):
-            b = np.log(messages[dead]) + log_r_block[dead]
-        v[dead] = np.exp(b - b.max(axis=1, keepdims=True))
-        peak[dead] = 1.0
-    return (v / peak) @ q_lin
-
-
 def _linear_transitions(log_q) -> np.ndarray:
     # exp(log_q) with the entries below the smallest normal double set to
     # 0: a subnormal operand makes every product that touches it several
@@ -341,43 +324,103 @@ def _linear_transitions(log_q) -> np.ndarray:
     return q_lin
 
 
-def _windowed_block(log_r, q_lin, half_window: int) -> np.ndarray:
-    size, _ = log_r.shape
-    r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+def _step_columns(messages, r_lin, log_r, q_lin_t):
+    # One sum-product step, in place, for a batch of (M, n) column messages:
+    # multiply in the emission, renormalize each column by its peak (the
+    # log-domain normalization, done in linear arithmetic), push through the
+    # transition matrix. Columns whose linear product underflows entirely
+    # are recomputed through the log domain, which always has a finite peak.
+    v = messages * r_lin
+    peak = v.max(axis=0)
+    dead = peak < _MESSAGE_FLOOR
+    if np.any(dead):
+        with np.errstate(divide="ignore"):
+            b = np.log(messages[:, dead]) + log_r[:, dead]
+        v[:, dead] = np.exp(b - b.max(axis=0))
+        peak[dead] = 1.0
+    v /= peak
+    np.matmul(q_lin_t, v, out=messages)
+
+
+def _windowed_block(log_r, q_lin_t, half_window: int) -> np.ndarray:
+    # log_r is the block's (M, rows) transpose, so each message is a
+    # contiguous column and a step is one (M, M) @ (M, rows) product
+    size = log_r.shape[1]
+    r_lin = np.exp(log_r - log_r.max(axis=0))
     fwd = np.ones_like(log_r)
     bwd = np.ones_like(log_r)
     for s in range(half_window, 0, -1):
         head = slice(0, size - s)
-        fwd[s:] = _propagate(fwd[s:], r_lin[head], q_lin, log_r[head])
-        bwd[head] = _propagate(bwd[head], r_lin[s:], q_lin, log_r[s:])
+        _step_columns(fwd[:, s:], r_lin[:, head], log_r[:, head], q_lin_t)
+        _step_columns(bwd[:, head], r_lin[:, s:], log_r[:, s:], q_lin_t)
     with np.errstate(divide="ignore"):
-        return np.log(fwd) + log_r + np.log(bwd)
+        np.log(fwd, out=fwd)
+        np.log(bwd, out=bwd)
+    fwd += log_r
+    fwd += bwd
+    return fwd
 
 
 def _chain_log_marginals_windowed(log_r, log_q, half_window: int) -> np.ndarray:
     # output rows [a, b) run the recursion on rows [a - N, b + N) and keep
     # [a, b): every kept row still sees its whole (edge-truncated) window
     size, _ = log_r.shape
-    q_lin = _linear_transitions(log_q)
+    q_lin_t = _linear_transitions(log_q).T
     out = np.empty_like(log_r)
     for a, b in _row_blocks(size, _BP_BLOCK_ROWS):
         lo, hi = max(0, a - half_window), min(size, b + half_window)
-        out[a:b] = _windowed_block(log_r[lo:hi], q_lin, half_window)[a - lo : b - lo]
+        block = np.ascontiguousarray(log_r[lo:hi].T)
+        out[a:b] = _windowed_block(block, q_lin_t, half_window)[:, a - lo : b - lo].T
     return out
 
 
+def _sweep(r_lin, q_lin):
+    # messages[k] = normalize(messages[k - 1] * r_lin[k - 1]) @ q_lin with
+    # messages[0] = 1: the arithmetic of _step_columns on one row at a time,
+    # in a few in-place numpy calls per step. Returns None unless every
+    # entry stays at least M * 2^-968 of its message's peak (see
+    # map_bp_estimate). A row whose product underflows below
+    # _MESSAGE_FLOOR fails that early: the peak of r_lin is 1 and every
+    # message's peak is at least about 1/M, so the previous message had an
+    # entry below the bound.
+    messages = np.empty_like(r_lin)
+    messages[0] = 1.0
+    v = np.empty(r_lin.shape[1])
+    for k in range(1, len(messages)):
+        np.multiply(messages[k - 1], r_lin[k - 1], out=v)
+        peak = v.max()
+        if peak < _MESSAGE_FLOOR:
+            return None
+        v /= peak
+        np.dot(v, q_lin, out=messages[k])
+    bound = messages.shape[1] * 2.0**-968
+    if np.all(messages.min(axis=1) >= bound * messages.max(axis=1)):
+        return messages
+    return None
+
+
+def _log_sweep(log_r, log_q) -> np.ndarray:
+    # the same recursion in the log domain, shifted to a peak of 0 each step
+    messages = np.empty_like(log_r)
+    messages[0] = 0.0
+    for k in range(1, len(messages)):
+        a = messages[k - 1] + log_r[k - 1]
+        terms = (a - a.max())[:, None] + log_q
+        peak = terms.max(axis=0)
+        terms -= peak
+        np.exp(terms, out=terms)
+        messages[k] = peak + np.log(terms.sum(axis=0))
+    return messages
+
+
 def _chain_log_marginals_full(log_r, log_q) -> np.ndarray:
-    size, _ = log_r.shape
     q_lin = _linear_transitions(log_q)
     r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
-    fwd = np.ones_like(log_r)
-    bwd = np.ones_like(log_r)
-    for k in range(1, size):
-        fwd[k] = _propagate(fwd[k - 1 : k], r_lin[k - 1 : k], q_lin, log_r[k - 1 : k])[0]
-    for k in range(size - 2, -1, -1):
-        bwd[k] = _propagate(bwd[k + 1 : k + 2], r_lin[k + 1 : k + 2], q_lin, log_r[k + 1 : k + 2])[0]
-    with np.errstate(divide="ignore"):
-        return np.log(fwd) + log_r + np.log(bwd)
+    fwd = _sweep(r_lin, q_lin)
+    bwd = _sweep(r_lin[::-1], q_lin) if fwd is not None else None
+    if bwd is not None:
+        return np.log(fwd) + log_r + np.log(bwd[::-1])
+    return _log_sweep(log_r, log_q) + log_r + _log_sweep(log_r[::-1], log_q)[::-1]
 
 
 def map_bp_estimate(
@@ -403,11 +446,28 @@ def map_bp_estimate(
     rows, the last block taking the remainder. Each block runs the
     recursion over its rows plus N-row halos on both sides and keeps its own
     rows, so every row sees the same edge-truncated window as one pass over
-    the whole sequence, while the block's messages stay in cache. Blocks are
-    never cut below 512 rows: on OpenBLAS 0.3.31, blocks of 256 rows or
-    fewer round the M=60 products differently (log-marginals move by up to
-    5.7e-14), while 512 to 4096 rows reproduce the one-pass result bit for
-    bit.
+    the whole sequence, while the block's messages stay in cache. A block's
+    log R is transposed once to (M, rows): every message is a contiguous
+    column, peak-normalized over its M entries, and each step pushes all
+    of a block's messages through Q with one (M, M) @ (M, rows) product
+    (Q^T @ v). The marginals are transposed back as the block is written
+    out. Blocks are never cut below 512 rows: on OpenBLAS 0.3.31, blocks of
+    256 rows or fewer round the M=60 products differently (log-marginals
+    move by up to 2.8e-14), while 512 to 4096 rows reproduce the one-pass
+    result bit for bit.
+
+    The full-sequence variant steps one message at a time, with the
+    arithmetic of the windowed step in a few in-place numpy calls. Its
+    linear messages are kept only if every entry of every forward and
+    backward message stays at or above M * 2^-968 of its message's peak,
+    where the flush argument below holds. Below that a linear message can no
+    longer carry the entries its neighbours need: at M=15 and
+    sigma_theta^2 = 1e-5 one grid step costs 551 nats, more than a
+    peak-normalized double spans, and forward and backward messages lose
+    each other's support (wrong argmaxes, or rows that are -inf
+    everywhere). Such a frame is recomputed entirely in the log domain, a
+    logsumexp over Q per step, which is exact to rounding and several times
+    slower.
 
     Both variants set the transition entries below the smallest normal
     double (tiny = 2.2e-308) to 0 before the products, because subnormal

@@ -54,8 +54,9 @@ KNOWN_ALGORITHMS = ("bps", "cpn", "map_bp", "bps_opt")
 # are recomputed on resume instead of being mixed in. Bump it whenever a
 # change moves any BMI or sigma_opt digit. 2: per-axis demapper and bounded
 # Brent variance search. 3: per-axis distance tables, and sigma_opt = 1e-6 on
-# frames whose BMI is flat at its maximum.
-RESULTS_VERSION = 3
+# frames whose BMI is flat at its maximum. 4: full-sequence BP in the log
+# domain where linear messages cannot span the frame (near-identity Q).
+RESULTS_VERSION = 4
 
 WORKERS_ENV_VAR = "WIENER_CPE_WORKERS"
 

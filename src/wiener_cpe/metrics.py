@@ -15,6 +15,9 @@ _LN2 = math.log(2.0)
 
 DEFAULT_CLAMP = 50.0
 SIGMA_SQ_RANGE = (1e-6, 10.0)
+# e^-700 is a normal double, clear of the exponent range below about -707.8
+# where numpy's exp leaves its fast path
+_WEIGHT_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,16 @@ class AxisDemapper:
     level and symbol. Arrays are bit-major, (m, K), so that every
     elementwise pass runs over contiguous symbols. ``backward``
     differentiates the last ``llrs`` call.
+
+    Log-weights are shifted to a peak of 0 per symbol and floored at -700
+    before the exponential: a result that is subnormal, or near the
+    underflow threshold, makes the exp up to 60x and the class-sum product
+    up to 40x slower. The floor moves no LLR within the clamp: on an axis of
+    n levels it adds less than n e^-700 to a class sum, while both class
+    sums of an LLR with |L| <= clamp are at least e^-clamp (one of them
+    holds the peak weight 1). That is a relative change below 2^-54, a
+    quarter ulp, whenever clamp <= 700 - ln n - 54 ln 2 (660 for 8 levels);
+    for a larger clamp no floor is applied.
     """
 
     def __init__(self, x_hat: np.ndarray, axes: AxisDecomposition):
@@ -111,6 +124,8 @@ class AxisDemapper:
             np.multiply(d2, -1.0 / sigma_sq, out=weights)
             weights += log_prior[:, None]
             weights -= weights.max(axis=0)
+            if clamp <= -_WEIGHT_FLOOR - math.log(log_prior.size) - 54.0 * _LN2:
+                np.maximum(weights, _WEIGHT_FLOOR, out=weights)
             np.exp(weights, out=weights)
             sums = selector @ weights
             class_sums.append(sums)

@@ -57,3 +57,122 @@ def brute_force_map(y_window, cfg: EstimatorConfig, constellation: Constellation
     log_marginal = log_marginal - logsumexp(log_marginal)
     marginal = np.exp(log_marginal)
     return float(cfg.grid.phases[int(np.argmax(marginal))]), marginal
+
+
+_MESSAGE_FLOOR = 1e-300
+
+
+def propagate_rows(messages, r_lin_block, q_lin, log_r_block):
+    """One sum-product step on (n, M) row messages, as the estimators ran it
+    before messages became columns: multiply in the emission, renormalize
+    each row by its peak, push through the transition matrix. Rows whose
+    linear product underflows entirely are recomputed through the log
+    domain."""
+    v = messages * r_lin_block
+    peak = v.max(axis=1, keepdims=True)
+    dead = peak[:, 0] < _MESSAGE_FLOOR
+    if np.any(dead):
+        with np.errstate(divide="ignore"):
+            b = np.log(messages[dead]) + log_r_block[dead]
+        v[dead] = np.exp(b - b.max(axis=1, keepdims=True))
+        peak[dead] = 1.0
+    return (v / peak) @ q_lin
+
+
+def windowed_log_marginals(log_r, log_q, half_window):
+    """Reference windowed BP: one pass of row messages over the whole
+    sequence, with the transition matrix exponentiated as is (subnormal
+    entries kept)."""
+    size, _ = log_r.shape
+    q_lin = np.exp(log_q)
+    r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+    fwd = np.ones_like(log_r)
+    bwd = np.ones_like(log_r)
+    for s in range(half_window, 0, -1):
+        head = slice(0, size - s)
+        fwd[s:] = propagate_rows(fwd[s:], r_lin[head], q_lin, log_r[head])
+        bwd[head] = propagate_rows(bwd[head], r_lin[s:], q_lin, log_r[s:])
+    with np.errstate(divide="ignore"):
+        return np.log(fwd) + log_r + np.log(bwd)
+
+
+def full_log_marginals_rows(log_r, q_lin):
+    """Reference full-sequence BP in linear arithmetic: one row message per
+    step, each step a one-row ``propagate_rows``, with the given linear
+    transition matrix."""
+    size, _ = log_r.shape
+    r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+    fwd = np.ones_like(log_r)
+    bwd = np.ones_like(log_r)
+    for k in range(1, size):
+        fwd[k] = propagate_rows(fwd[k - 1 : k], r_lin[k - 1 : k], q_lin, log_r[k - 1 : k])[0]
+    for k in range(size - 2, -1, -1):
+        bwd[k] = propagate_rows(bwd[k + 1 : k + 2], r_lin[k + 1 : k + 2], q_lin, log_r[k + 1 : k + 2])[0]
+    with np.errstate(divide="ignore"):
+        return np.log(fwd) + log_r + np.log(bwd)
+
+
+def full_log_marginals_logdomain(log_r, log_q):
+    """Reference full-sequence BP entirely in the log domain: each message
+    entry is a logsumexp over the previous message, emission and log
+    transition, with no renormalization, so no entry can underflow."""
+    size, _ = log_r.shape
+    fwd = np.zeros_like(log_r)
+    bwd = np.zeros_like(log_r)
+    for k in range(1, size):
+        fwd[k] = logsumexp((fwd[k - 1] + log_r[k - 1])[:, None] + log_q, axis=0)
+    for k in range(size - 2, -1, -1):
+        bwd[k] = logsumexp((bwd[k + 1] + log_r[k + 1])[:, None] + log_q, axis=0)
+    return fwd + log_r + bwd
+
+
+def assert_same_decisions(reference, candidate, mode: str, delta: float) -> int:
+    """Require equal per-row decisions wherever the reference is decisive.
+
+    ``reference`` and ``candidate`` are (K, M) statistics whose decision per
+    row is the ``mode`` ("argmax" or "argmin") over M. If the candidate
+    differs from the reference by at most ``delta`` per entry (up to a
+    constant per row), a row whose reference top-two gap exceeds 2 delta
+    cannot change its decision, so every such row must agree. Returns, and
+    prints, the number of rows inside that band, which are not checked.
+    """
+    if mode not in ("argmax", "argmin"):
+        raise ValueError("mode must be 'argmax' or 'argmin'")
+    sign = 1.0 if mode == "argmax" else -1.0
+    reference = sign * np.asarray(reference, dtype=np.float64)
+    candidate = sign * np.asarray(candidate, dtype=np.float64)
+    if reference.shape != candidate.shape or reference.ndim != 2:
+        raise ValueError("statistics must be (K, M) arrays of one shape")
+    top_two = np.partition(reference, -2, axis=1)[:, -2:]
+    decisive = top_two[:, 1] - top_two[:, 0] > 2.0 * delta
+    ref_pick = np.argmax(reference, axis=1)
+    got_pick = np.argmax(candidate, axis=1)
+    wrong = np.flatnonzero(decisive & (ref_pick != got_pick))
+    in_band = int(np.count_nonzero(~decisive))
+    print(f"decision margin: {in_band} of {len(reference)} rows within 2*delta = {2.0 * delta:.3g}")
+    assert wrong.size == 0, (
+        f"{wrong.size} decisive rows changed their {mode}, first at rows {wrong[:10].tolist()}"
+    )
+    return in_band
+
+
+def unfloored_axis_llrs(x_hat, constellation: Constellation, sigma_sq: float, clamp: float):
+    """(m, K) per-axis LLRs in the arithmetic of ``AxisDemapper.llrs`` before
+    its log-weights were floored: every weight is exp(log-weight - peak),
+    however far it underflows."""
+    x_hat = np.asarray(x_hat, dtype=np.complex128)
+    axes = constellation.axis_decomposition()
+    raw = np.empty((constellation.bits_per_symbol, x_hat.size))
+    for coord, levels, log_prior, level_bits, cols in zip(
+        (x_hat.real, x_hat.imag), axes.levels, axes.log_priors, axes.level_bits, axes.bit_columns
+    ):
+        selector = np.zeros((2 * level_bits.shape[1], level_bits.shape[0]))
+        selector[0::2] = (level_bits == 0).T
+        selector[1::2] = (level_bits == 1).T
+        weights = np.square(coord[None, :] - levels[:, None]) * (-1.0 / sigma_sq)
+        weights += log_prior[:, None]
+        weights -= weights.max(axis=0)
+        with np.errstate(divide="ignore"):
+            log_sums = np.log(selector @ np.exp(weights))
+        raw[cols] = log_sums[0::2] - log_sums[1::2]
+    return np.clip(raw, -clamp, clamp)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from wiener_cpe import (
     Constellation,
     build_qam,
-    entropy,
     entropy_bits,
     maxwell_boltzmann_shape,
     sample,
@@ -59,7 +58,7 @@ class TestShaping:
     def test_lambda_zero_is_uniform(self, qam64):
         shaped = maxwell_boltzmann_shape(qam64, 0.0)
         np.testing.assert_allclose(shaped.probs, 1.0 / 64)
-        assert abs(entropy(shaped) - 6.0) < 1e-12
+        assert abs(entropy_bits(shaped.probs) - 6.0) < 1e-12
 
     def test_entropy_target_hits_five_bits(self, qam64):
         shaped, lam = shape_for_entropy(qam64, 5.0)
@@ -73,13 +72,13 @@ class TestShaping:
 
     def test_entropy_target_55(self, qam64):
         shaped, _ = shape_for_entropy(qam64, 5.5)
-        assert abs(entropy(shaped) - 5.5) < 1e-6
+        assert abs(entropy_bits(shaped.probs) - 5.5) < 1e-6
 
     def test_large_lambda_concentrates_on_inner_ring(self, qam64):
         shaped = maxwell_boltzmann_shape(qam64, 10.0)
         inner = np.argsort(np.abs(shaped.points))[:4]
         assert shaped.probs[inner].sum() > 1.0 - 1e-10
-        assert abs(entropy(shaped) - 2.0) < 1e-9
+        assert abs(entropy_bits(shaped.probs) - 2.0) < 1e-9
 
     def test_target_six_means_uniform(self, qam64):
         shaped, lam = shape_for_entropy(qam64, 6.0)
@@ -104,7 +103,7 @@ class TestShaping:
 
     def test_entropy_nonincreasing_in_lambda(self, qam64):
         lams = np.linspace(0.0, 1.0, 21)
-        entropies = [entropy(maxwell_boltzmann_shape(qam64, lam)) for lam in lams]
+        entropies = [entropy_bits(maxwell_boltzmann_shape(qam64, lam).probs) for lam in lams]
         assert np.all(np.diff(entropies) <= 1e-12)
 
     def test_probs_respect_rotational_symmetry(self, shaped64):
@@ -120,7 +119,7 @@ class TestShaping:
 
 class TestEntropy:
     def test_uniform_64(self, qam64):
-        assert entropy(qam64) == pytest.approx(6.0, abs=1e-12)
+        assert entropy_bits(qam64.probs) == pytest.approx(6.0, abs=1e-12)
 
     def test_near_delta_limit(self):
         p = np.array([1.0 - 3e-16, 1e-16, 1e-16, 1e-16])

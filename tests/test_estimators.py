@@ -24,6 +24,7 @@ from wiener_cpe import (
     min_distance_table,
     q_matrix,
     r_table,
+    shape_for_entropy,
     softmin,
     transmit,
 )
@@ -36,7 +37,14 @@ from wiener_cpe.estimators import (
 )
 from wiener_cpe.numerics import wrap_sector
 
-from oracles import brute_force_map, shaped_qam
+from oracles import (
+    assert_same_decisions,
+    brute_force_map,
+    full_log_marginals_logdomain,
+    full_log_marginals_rows,
+    shaped_qam,
+    windowed_log_marginals,
+)
 
 
 def _cfg(half_window, m_count, sigma_n_sq=0.01, sigma_theta_sq=1.18e-4, **kw):
@@ -269,37 +277,9 @@ class TestMapBp:
         np.testing.assert_array_equal(est, expected)
 
 
-def _oracle_windowed_log_marginals(log_r, log_q, half_window):
-    """Reference windowed BP: one pass over the whole sequence, with the
-    transition matrix exponentiated as is (subnormal entries kept)."""
-    size, _ = log_r.shape
-    q_lin = np.exp(log_q)
-    r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
-
-    def propagate(messages, r_lin_block, log_r_block):
-        v = messages * r_lin_block
-        peak = v.max(axis=1, keepdims=True)
-        dead = peak[:, 0] < 1e-300
-        if np.any(dead):
-            with np.errstate(divide="ignore"):
-                b = np.log(messages[dead]) + log_r_block[dead]
-            v[dead] = np.exp(b - b.max(axis=1, keepdims=True))
-            peak[dead] = 1.0
-        return (v / peak) @ q_lin
-
-    fwd = np.ones_like(log_r)
-    bwd = np.ones_like(log_r)
-    for s in range(half_window, 0, -1):
-        head = slice(0, size - s)
-        fwd[s:] = propagate(fwd[s:], r_lin[head], log_r[head])
-        bwd[head] = propagate(bwd[head], r_lin[s:], log_r[s:])
-    with np.errstate(divide="ignore"):
-        return np.log(fwd) + log_r + np.log(bwd)
-
-
 class TestBlockedBp:
-    """The windowed BP runs in row blocks with halos on a flushed Q; it must
-    reproduce the one-pass recursion on the raw Q."""
+    """The windowed BP runs column messages in row blocks with halos on a
+    flushed Q; it must reproduce the one-pass row recursion on the raw Q."""
 
     @pytest.mark.parametrize("m_count", [15, 60])
     @pytest.mark.parametrize("sigma_theta_sq", [0.0, 1.18e-4, 1e-3])
@@ -313,10 +293,26 @@ class TestBlockedBp:
         cfg = _cfg(8, m_count, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=sigma_theta_sq)
         tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
         got = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, 8)
-        want = _oracle_windowed_log_marginals(tables.r_table, tables.q_matrix, 8)
+        want = windowed_log_marginals(tables.r_table, tables.q_matrix, 8)
         np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
         live = want > -700.0
         assert live.any(axis=1).all()
+        assert np.max(np.abs(got[live] - want[live])) <= 1e-12
+
+    def test_dead_columns_take_the_log_domain_step(self):
+        # with Q the identity in float and each symbol favouring the next
+        # grid phase by 800 nats, every linear product after the first step
+        # underflows to 0 and must be redone through the log domain (the
+        # marginals still lose their support: most rows are -inf throughout
+        # on both sides)
+        m_count, size = 4, 2 * estimators._BP_BLOCK_ROWS + 3
+        log_r = np.full((size, m_count), -800.0)
+        log_r[np.arange(size), np.arange(size) % m_count] = 0.0
+        log_q = q_matrix(make_grid(m_count, 4), 0.0)
+        got = _chain_log_marginals_windowed(log_r, log_q, 3)
+        want = windowed_log_marginals(log_r, log_q, 3)
+        np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+        live = np.isfinite(want)
         assert np.max(np.abs(got[live] - want[live])) <= 1e-12
 
     def test_distance_tables_do_not_depend_on_chunk_budget(self, shaped64, monkeypatch):
@@ -335,6 +331,73 @@ class TestBlockedBp:
             d_min, log_r = tables()
             np.testing.assert_array_equal(d_min, d_default)
             np.testing.assert_array_equal(log_r, r_default)
+
+
+@pytest.fixture(scope="module")
+def shaped64_575(qam64):
+    constellation, _ = shape_for_entropy(qam64, 5.75)
+    return constellation
+
+
+def _matched_tables(constellation, m_count, sigma_theta_sq, size, seed):
+    params = ChannelParams(
+        snr_db=20.0, sigma_theta_sq=sigma_theta_sq, num_symbols=size, seed=seed
+    )
+    trace = transmit(constellation, params)
+    cfg = _cfg(32, m_count, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=sigma_theta_sq)
+    return build_factor_tables(trace.rx_symbols, cfg, constellation)
+
+
+class TestFullSequenceBp:
+    """One forward and one backward pass over the whole frame: linear
+    messages while they span the frame's dynamic range, the log domain
+    otherwise."""
+
+    @pytest.mark.parametrize("m_count", [15, 60])
+    @pytest.mark.parametrize("sigma_theta_sq", [1.18e-4, 1e-3])
+    def test_linear_pass_matches_row_loop_bit_for_bit(
+        self, shaped64_575, m_count, sigma_theta_sq
+    ):
+        tables = _matched_tables(shaped64_575, m_count, sigma_theta_sq, 4096, seed=25)
+        got = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
+        q_lin = estimators._linear_transitions(tables.q_matrix)
+        np.testing.assert_array_equal(got, full_log_marginals_rows(tables.r_table, q_lin))
+
+    def test_identity_transitions_follow_column_sums(self, shaped64_575):
+        # an estimator sigma_theta^2 of 0 makes Q the identity in float: the
+        # phase is one unknown constant, so every row's marginal is the
+        # column sum of log R up to a constant. On this frame, whose channel
+        # phase does walk, linear messages gave 274 all -inf rows and 1101
+        # wrong argmaxes.
+        size = 2048
+        trace = transmit(
+            shaped64_575,
+            ChannelParams(snr_db=20.0, sigma_theta_sq=1e-5, num_symbols=size, seed=6),
+        )
+        cfg = _cfg(32, 15, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=0.0)
+        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64_575)
+        got = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
+        want = np.broadcast_to(tables.r_table.sum(axis=0), got.shape)
+        # each of the 2K shifted log-domain steps rounds within a few ulps of
+        # the running sums, whose spread is at most the sum of the rows' spreads
+        delta = 4 * size * np.finfo(float).eps * np.ptp(tables.r_table, axis=1).sum()
+        assert assert_same_decisions(want, got, "argmax", delta) == 0
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("seed", [2, 8])
+    def test_near_identity_matches_log_domain_oracle(self, shaped64_575, seed):
+        # sigma_theta^2 = 1e-5 at M = 15: one grid step costs 551 nats, past
+        # what a peak-normalized double can hold. Before the log-domain
+        # pass, seed 2 had 243 wrong rows, seed 8 152 all -inf rows.
+        size = 8192
+        tables = _matched_tables(shaped64_575, 15, 1e-5, size, seed=seed)
+        got = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
+        want = full_log_marginals_logdomain(tables.r_table, tables.q_matrix)
+        # both recursions round within a few ulps of the largest running sum
+        # per step
+        delta = 4 * size * np.finfo(float).eps * np.abs(want).max()
+        assert_same_decisions(want, got, "argmax", delta)
+        assert np.all(np.isfinite(got))
 
 
 def _xwide_tables(y, grid, constellation, sigma_n_sq, rows=256):

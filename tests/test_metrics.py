@@ -20,6 +20,7 @@ from wiener_cpe import (
     transmit,
 )
 from wiener_cpe.constellation import entropy_bits
+from wiener_cpe import metrics
 from wiener_cpe.metrics import (
     DEFAULT_CLAMP,
     SIGMA_SQ_RANGE,
@@ -29,7 +30,7 @@ from wiener_cpe.metrics import (
     softplus,
 )
 
-from oracles import shaped_qam
+from oracles import shaped_qam, unfloored_axis_llrs
 
 LOG_SIGMA_RANGE = (math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]))
 
@@ -263,18 +264,40 @@ class TestSeparableKernel:
             llrs(np.zeros(1, dtype=complex), tilted, 0.1)
 
 
+class TestWeightFloor:
+    """``AxisDemapper.llrs`` floors its log-weights before the exponential;
+    no LLR within the clamp may move."""
+
+    @pytest.mark.parametrize("sigma_sq", [1e-6, 1e-4, 1e-3, 0.02])
+    def test_matches_unfloored_kernel(self, sigma_sq):
+        constellation, _ = shape_for_entropy(build_qam(64), 5.75)
+        trace = transmit(
+            constellation,
+            ChannelParams(snr_db=20.0, sigma_theta_sq=1e-3, num_symbols=4096, seed=31),
+        )
+        # a residual phase error leaves LLRs below the clamp from 1e-4 up
+        x_hat = trace.rx_symbols * np.exp(-1j * (trace.phase_path + 0.03))
+        demapper = AxisDemapper(x_hat, constellation.axis_decomposition())
+        got = demapper.llrs(sigma_sq, DEFAULT_CLAMP)
+        want = unfloored_axis_llrs(x_hat, constellation, sigma_sq, DEFAULT_CLAMP)
+        np.testing.assert_array_equal(got, want)
+        # below 0.02 some log-weights of the in-phase axis sat at the floor
+        floored = demapper._weights[0] == np.exp(metrics._WEIGHT_FLOOR)
+        assert np.any(floored) == (sigma_sq < 0.02)
+
+
 class TestBmi:
     def test_perfect_llrs_reach_entropy(self, shaped64):
         bits, symbols = _sample_frame(shaped64, 4096, seed=32)
         frame = llrs(symbols, shaped64, sigma_demap_sq=1e-4)
         value = bmi(bits, frame, shaped64)
-        assert abs(value - shaped64.entropy()) < 1e-3
+        assert abs(value - entropy_bits(shaped64.probs)) < 1e-3
 
     def test_zero_llrs_lose_one_bit_per_level(self, shaped64):
         bits, _ = _sample_frame(shaped64, 256, seed=33)
         frame = LlrFrame(np.zeros((256, 6)), clamp=50.0)
         value = bmi(bits, frame, shaped64)
-        assert value == pytest.approx(shaped64.entropy() - 6.0, abs=1e-12)
+        assert value == pytest.approx(entropy_bits(shaped64.probs) - 6.0, abs=1e-12)
 
     def test_awgn_reference_gauss_hermite(self, qam64):
         # independent quadrature oracle for the matched-demapper BMI of the
@@ -399,7 +422,7 @@ class TestVarianceOptimizer:
 
         def score(log_sigma_sq):
             llr = demapper.llrs(math.exp(log_sigma_sq), DEFAULT_CLAMP)
-            return shaped64.entropy() - float(softplus(llr * neg_sign).sum()) * scale
+            return entropy_bits(shaped64.probs) - float(softplus(llr * neg_sign).sum()) * scale
 
         log_brent, bmi_brent = _brent_max(score, *LOG_SIGMA_RANGE, tol=1e-4)
         sigma_opt, report = optimize_demapper_variance(x_hat, trace.bits, shaped64)
