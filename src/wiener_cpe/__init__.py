@@ -23,7 +23,6 @@ from .estimators import (
     min_distance_table,
     q_matrix,
     r_table,
-    softmin,
 )
 from .experiments import (
     CellResult,

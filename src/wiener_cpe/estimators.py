@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -30,6 +31,7 @@ from .numerics import softmax, wrap_sector
 _TABLE_CHUNK_BYTES = 2**16
 _BP_BLOCK_ROWS = 1024
 _DEGENERATE_Q_FLOOR = 1e-12
+_READOUT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -269,18 +271,6 @@ def _windowed_sum(table: np.ndarray, half_window: int) -> np.ndarray:
     return padded[hi + 1] - padded[lo]
 
 
-def weighted_window_sums(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """D[k, m] = sum_j w_j table[k - N + j, m], zero-padded at the edges."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.size % 2 == 0:
-        raise ValueError("window length must be odd (2N+1)")
-    half = (weights.size - 1) // 2
-    pad = np.zeros((half, table.shape[1]))
-    padded = np.concatenate([pad, table, pad], axis=0)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, weights.size, axis=0)
-    return np.einsum("kmj,j->km", windows, weights)
-
-
 def _check_length(y, cfg: EstimatorConfig):
     if len(y) < 2 * cfg.half_window + 1:
         raise ValueError("sequence shorter than the estimation window")
@@ -481,6 +471,12 @@ def map_bp_estimate(
     opposite message favour such an entry over the message's peak by a
     factor of about 1e288; at the 1.18e-4 centre cell (120 flushed entries
     at M=60) the marginals stay bit-identical.
+
+    The windowed variant's dead-column fallback rescues one underflowed
+    product, but forward and backward messages can still lose each other's
+    support (more than about 708 nats apart), which leaves a row -inf at
+    every grid phase. Its argmax would silently be grid phase 0, so such a
+    frame raises FloatingPointError with the count of dead rows instead.
     """
     _check_length(y, cfg)
     if tables is None:
@@ -491,19 +487,83 @@ def map_bp_estimate(
         log_marginals = _chain_log_marginals_windowed(
             tables.r_table, tables.q_matrix, cfg.half_window
         )
+        dead = ~np.isfinite(log_marginals).any(axis=1)
+        if np.any(dead):
+            raise FloatingPointError(
+                f"windowed BP lost its messages' support on {int(dead.sum())} of "
+                f"{dead.size} rows (log-marginals -inf at every grid phase)"
+            )
     estimates = cfg.grid.phases[np.argmax(log_marginals, axis=1)]
     if return_marginals:
         return estimates, log_marginals
     return estimates
 
 
-def softmin(x, t: float) -> np.ndarray:
-    """exp(-x_i/t) / sum_j exp(-x_j/t), stabilized by subtracting the minimum."""
-    if t <= 0:
-        raise ValueError("temperature must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-(x - x.min(axis=-1, keepdims=True)) / t)
-    return z / z.sum(axis=-1, keepdims=True)
+class SoftminReadout(NamedTuple):
+    """One weighted-softmin BPS forward pass, in phase-major (M, K) layout.
+
+    ``padded`` is the distance table transposed to (M, K + 2N) with N zero
+    columns on each side, ``weighted`` the (M, K) window sums D, ``soft``
+    the softmin of D over the M phases, ``phasors`` e^{j n phi_m}, and
+    ``readout_re``/``readout_im`` the parts of sum_m soft_m e^{j n phi_m}.
+    ``collapsed`` marks the symbols whose |readout| is below 1e-12; their
+    estimate is the argmin grid phase of D.
+    """
+
+    padded: np.ndarray
+    weighted: np.ndarray
+    soft: np.ndarray
+    phasors: np.ndarray
+    readout_re: np.ndarray
+    readout_im: np.ndarray
+    collapsed: np.ndarray
+    estimates: np.ndarray
+
+
+def phase_major_padded(table: np.ndarray, half_window: int) -> np.ndarray:
+    """The (K, M) ``table`` transposed to (M, K + 2N), zero-padded by N
+    columns on each side."""
+    size, m_count = table.shape
+    padded = np.zeros((m_count, size + 2 * half_window))
+    padded[:, half_window : half_window + size] = table.T
+    return padded
+
+
+def window_sums(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """D[m, k] = sum_j w_j padded[m, k + j], i.e. sum_j w_j table[k - N + j, m]
+    zero-padded at the edges: one ``np.correlate`` along each phase row."""
+    out = np.empty((padded.shape[0], padded.shape[1] - weights.size + 1))
+    for row, out_row in zip(padded, out):
+        out_row[:] = np.correlate(row, weights, "valid")
+    return out
+
+
+def window_sums_weight_grad(padded: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Adjoint of ``window_sums`` in the weights: sum_{m,k} grad[m, k]
+    padded[m, k + j] for each tap j."""
+    return sum(np.correlate(row, g_row, "valid") for row, g_row in zip(padded, grad))
+
+
+def softmin_readout(d_table, grid: PhaseGrid, params: BpsOptParams) -> SoftminReadout:
+    """Window sums, softmin and phase readout of the (K, M) distance table,
+    shared by ``bps_opt_estimate`` and the training forward pass."""
+    weights = params.weights
+    if weights.size % 2 == 0:
+        raise ValueError("window length must be odd (2N+1)")
+    padded = phase_major_padded(d_table, (weights.size - 1) // 2)
+    weighted = window_sums(padded, weights)
+    soft = softmax(weighted / -params.temperature, axis=0)
+    n = grid.sym_order
+    phasors = np.exp(1j * n * grid.phases)
+    readout_re = phasors.real @ soft
+    readout_im = phasors.imag @ soft
+    collapsed = np.hypot(readout_re, readout_im) < _READOUT_FLOOR
+    estimates = wrap_sector(np.arctan2(readout_im, readout_re) / n, n)
+    if np.any(collapsed):
+        estimates[collapsed] = grid.phases[np.argmin(weighted[:, collapsed], axis=0)]
+    return SoftminReadout(
+        padded, weighted, soft, phasors, readout_re, readout_im, collapsed, estimates
+    )
 
 
 def bps_opt_estimate(
@@ -526,18 +586,12 @@ def bps_opt_estimate(
     With uniform weights (``BpsOptParams.uniform``) that argmin is plain
     BPS's. Symbols below g* are near-ties that the softmin may blend, so a
     small temperature recovers BPS on every symbol only as t -> 0.
+
+    The pass runs on the table transposed to (M, K) (``softmin_readout``):
+    window sums and the softmin then run along contiguous rows.
     """
     _check_length(y, cfg)
     if params.weights.size != 2 * cfg.half_window + 1:
         raise ValueError("weights length must equal the window length 2N+1")
     d = d_table if d_table is not None else min_distance_table(y, cfg.grid, constellation)
-    weighted = weighted_window_sums(d, params.weights)
-    soft = softmax(-weighted / params.temperature, axis=1)
-    n = cfg.grid.sym_order
-    readout = soft @ np.exp(1j * n * cfg.grid.phases)
-    estimates = wrap_sector(np.angle(readout) / n, n)
-    collapsed = np.abs(readout) < 1e-12
-    if np.any(collapsed):
-        estimates[collapsed] = cfg.grid.phases[np.argmin(weighted[collapsed], axis=1)]
-    return estimates
-
+    return softmin_readout(d, cfg.grid, params).estimates

@@ -56,7 +56,8 @@ KNOWN_ALGORITHMS = ("bps", "cpn", "map_bp", "bps_opt")
 # Brent variance search. 3: per-axis distance tables, and sigma_opt = 1e-6 on
 # frames whose BMI is flat at its maximum. 4: full-sequence BP in the log
 # domain where linear messages cannot span the frame (near-identity Q).
-RESULTS_VERSION = 4
+# 5: bps_opt window sums and readout along phase-major rows.
+RESULTS_VERSION = 5
 
 WORKERS_ENV_VAR = "WIENER_CPE_WORKERS"
 

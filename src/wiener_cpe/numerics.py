@@ -8,8 +8,9 @@ import numpy as np
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along ``axis``."""
     z = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.sum(z, axis=axis, keepdims=True)
+    return z
 
 
 def wrap_sector(phi, sym_order: int):

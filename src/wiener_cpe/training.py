@@ -20,13 +20,17 @@ from scipy.special import expit
 
 from .channel import ChannelParams, ChannelTrace, transmit
 from .constellation import Constellation, entropy_bits
-from .estimators import BpsOptParams, EstimatorConfig, min_distance_table, weighted_window_sums
+from .estimators import (
+    BpsOptParams,
+    EstimatorConfig,
+    min_distance_table,
+    softmin_readout,
+    window_sums_weight_grad,
+)
 from .metrics import DEFAULT_CLAMP, AxisDemapper, bit_signs, softplus
-from .numerics import softmax, wrap_sector
 
 _LN2 = math.log(2.0)
 _CHUNK = 8192
-_READOUT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,17 +153,8 @@ def _forward_backward(
     w = params.weights
     t = params.temperature
 
-    d = min_distance_table(y, cfg.grid, constellation)
-    weighted = weighted_window_sums(d, w)
-    soft = softmax(-weighted / t, axis=1)
-    phasors = np.exp(1j * n * cfg.grid.phases)
-    readout = soft @ phasors
-    collapsed = np.abs(readout) < _READOUT_FLOOR
-    phi_hat = wrap_sector(np.angle(readout) / n, n)
-    if np.any(collapsed):
-        phi_hat = phi_hat.copy()
-        phi_hat[collapsed] = cfg.grid.phases[np.argmin(weighted[collapsed], axis=1)]
-    phi_derot = _sector_aligned_residual_phase(phi_hat, trace.phase_path, n)
+    fwd = softmin_readout(min_distance_table(y, cfg.grid, constellation), cfg.grid, params)
+    phi_derot = _sector_aligned_residual_phase(fwd.estimates, trace.phase_path, n)
     x_hat = y * np.exp(-1j * phi_derot)
 
     g_phi = np.zeros(size) if want_grad else None
@@ -191,22 +186,21 @@ def _forward_backward(
     if not want_grad:
         return total_loss, None, None
 
+    collapsed = fwd.collapsed
     g_phi[collapsed] = 0.0
-    mag_sq = np.abs(readout) ** 2
-    safe = np.where(collapsed, 1.0, mag_sq)
-    g_re = g_phi * (-readout.imag) / (n * safe)
-    g_im = g_phi * readout.real / (n * safe)
-    g_soft = np.outer(g_re, phasors.real) + np.outer(g_im, phasors.imag)
-    g_arg = soft * (g_soft - (g_soft * soft).sum(axis=1, keepdims=True))
-    g_weighted = -g_arg / t
-    g_t = float((g_arg * weighted).sum() / t**2)
-    g_raw_temp = g_t * t
-
-    half = cfg.half_window
-    pad = np.zeros((half, d.shape[1]))
-    padded = np.concatenate([pad, d, pad], axis=0)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1, axis=0)
-    g_w = np.einsum("km,kmj->j", g_weighted, windows)
+    re, im = fwd.readout_re, fwd.readout_im
+    scale = g_phi / (n * np.where(collapsed, 1.0, re * re + im * im))
+    g_re = -im * scale
+    g_im = re * scale
+    # d phi / d soft_m = g_re cos(n phi_m) + g_im sin(n phi_m). The softmax
+    # backward subtracts sum_m soft_m (d phi / d soft_m) = Re(r) g_re +
+    # Im(r) g_im = g_phi (-Im r Re r + Re r Im r) / (n |r|^2) = 0: the
+    # normalisation only scales the readout r, which leaves arg(r) alone.
+    g_arg = np.outer(fwd.phasors.real, g_re)
+    g_arg += np.outer(fwd.phasors.imag, g_im)
+    g_arg *= fwd.soft
+    g_raw_temp = float(np.vdot(g_arg, fwd.weighted)) / t
+    g_w = window_sums_weight_grad(fwd.padded, g_arg) / -t
     g_raw_weights = w * (g_w - float(g_w @ w))
     return total_loss, g_raw_weights, g_raw_temp
 
@@ -329,18 +323,18 @@ def train(
     )
 
 
+def _params_doc(params: BpsOptParams) -> dict:
+    return {
+        "raw_weights": params.raw_weights.tolist(),
+        "raw_temp": params.raw_temp,
+        "weights": params.weights.tolist(),
+        "temperature": params.temperature,
+    }
+
+
 def save_params(params: BpsOptParams, path) -> None:
     with open(path, "w") as fh:
-        json.dump(
-            {
-                "raw_weights": params.raw_weights.tolist(),
-                "raw_temp": params.raw_temp,
-                "weights": params.weights.tolist(),
-                "temperature": params.temperature,
-            },
-            fh,
-            indent=2,
-        )
+        json.dump(_params_doc(params), fh, indent=2)
 
 
 def load_params(path) -> BpsOptParams:
@@ -351,12 +345,7 @@ def load_params(path) -> BpsOptParams:
 
 def save_report(report: TrainReport, path) -> None:
     doc = {
-        "params": {
-            "raw_weights": report.params.raw_weights.tolist(),
-            "raw_temp": report.params.raw_temp,
-            "weights": report.params.weights.tolist(),
-            "temperature": report.params.temperature,
-        },
+        "params": _params_doc(report.params),
         "loss_curve": list(report.loss_curve),
         "val_bmi_curve": list(report.val_bmi_curve),
         "schedule": asdict(report.schedule),

@@ -1,16 +1,21 @@
 """Reference implementations and shared inputs for the tests."""
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from wiener_cpe import (
+    BpsOptParams,
     EstimatorConfig,
     build_factor_tables,
     build_qam,
     maxwell_boltzmann_shape,
+    min_distance_table,
     shape_for_entropy,
 )
+from wiener_cpe.channel import ChannelTrace
 from wiener_cpe.constellation import Constellation
+from wiener_cpe.metrics import DEFAULT_CLAMP, AxisDemapper, bit_signs, softplus
+from wiener_cpe.numerics import softmax, wrap_sector
 
 _BRUTE_FORCE_LIMIT = 10_000_000
 _SHAPING_END = {}
@@ -176,3 +181,98 @@ def unfloored_axis_llrs(x_hat, constellation: Constellation, sigma_sq: float, cl
             log_sums = np.log(selector @ np.exp(weights))
         raw[cols] = log_sums[0::2] - log_sums[1::2]
     return np.clip(raw, -clamp, clamp)
+
+
+def softmin(x, t: float) -> np.ndarray:
+    """exp(-x_i/t) / sum_j exp(-x_j/t), stabilized by subtracting the minimum."""
+    if t <= 0:
+        raise ValueError("temperature must be positive")
+    x = np.asarray(x, dtype=np.float64)
+    z = np.exp(-(x - x.min(axis=-1, keepdims=True)) / t)
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+def _window_views(table: np.ndarray, half: int) -> np.ndarray:
+    pad = np.zeros((half, table.shape[1]))
+    padded = np.concatenate([pad, table, pad], axis=0)
+    return np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1, axis=0)
+
+
+def weighted_window_sums(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """D[k, m] = sum_j w_j table[k - N + j, m], zero-padded at the edges, as
+    one einsum over the (K, M, 2N+1) windows of the (K, M) table."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.size % 2 == 0:
+        raise ValueError("window length must be odd (2N+1)")
+    windows = _window_views(table, (weights.size - 1) // 2)
+    return np.einsum("kmj,j->km", windows, weights)
+
+
+def window_weight_grad(table: np.ndarray, grad: np.ndarray, half: int) -> np.ndarray:
+    """Adjoint of ``weighted_window_sums`` in the weights, for a (K, M)
+    table and a (K, M) gradient of D: sum_{k,m} grad[k, m] table[k - N + j, m]."""
+    return np.einsum("km,kmj->j", grad, _window_views(table, half))
+
+
+def einsum_softmin_forward(d_table, grid, params: BpsOptParams):
+    """(weighted, soft, phasors, readout, collapsed, estimates) of the
+    weighted-softmin BPS forward pass on the (K, M) distance table: einsum
+    window sums, a softmax along each row and a complex readout."""
+    n = grid.sym_order
+    weighted = weighted_window_sums(d_table, params.weights)
+    soft = softmax(-weighted / params.temperature, axis=1)
+    phasors = np.exp(1j * n * grid.phases)
+    readout = soft @ phasors
+    collapsed = np.abs(readout) < 1e-12
+    estimates = wrap_sector(np.angle(readout) / n, n)
+    estimates[collapsed] = grid.phases[np.argmin(weighted[collapsed], axis=1)]
+    return weighted, soft, phasors, readout, collapsed, estimates
+
+
+def einsum_training_grad(
+    params: BpsOptParams,
+    trace: ChannelTrace,
+    cfg: EstimatorConfig,
+    constellation: Constellation,
+    clamp: float = DEFAULT_CLAMP,
+    chunk: int = 8192,
+):
+    """(loss, raw weight gradient, raw temperature gradient) of the bce
+    training loss, computed on the (K, M) distance table with
+    ``einsum_softmin_forward``, an einsum weight gradient, and the softmax
+    backward with its row-sum term kept."""
+    y = trace.rx_symbols
+    size = y.size
+    n = cfg.grid.sym_order
+    w, t = params.weights, params.temperature
+    d = min_distance_table(y, cfg.grid, constellation)
+    weighted, soft, phasors, readout, collapsed, phi_hat = einsum_softmin_forward(
+        d, cfg.grid, params
+    )
+    period = 2.0 * np.pi / n
+    phi_derot = phi_hat - np.rint((phi_hat - trace.phase_path) / period) * period
+    x_hat = y * np.exp(-1j * phi_derot)
+
+    sigma_sq = max(trace.sigma_n_sq, 1e-12)
+    axes = constellation.axis_decomposition()
+    total_loss = 0.0
+    g_phi = np.zeros(size)
+    for start in range(0, size, chunk):
+        stop = min(start + chunk, size)
+        xc = x_hat[start:stop]
+        demapper = AxisDemapper(xc, axes)
+        llr = demapper.llrs(sigma_sq, clamp)
+        sign = bit_signs(trace.bits[start:stop].T)
+        total_loss += float(softplus(-sign * llr).sum())
+        g_u, g_v = demapper.backward(-sign * expit(-sign * llr) / size)
+        g_phi[start:stop] = g_u * xc.imag - g_v * xc.real
+
+    g_phi[collapsed] = 0.0
+    safe = np.where(collapsed, 1.0, np.abs(readout) ** 2)
+    g_re = g_phi * (-readout.imag) / (n * safe)
+    g_im = g_phi * readout.real / (n * safe)
+    g_soft = np.outer(g_re, phasors.real) + np.outer(g_im, phasors.imag)
+    g_arg = soft * (g_soft - (g_soft * soft).sum(axis=1, keepdims=True))
+    g_w = window_weight_grad(d, -g_arg / t, cfg.half_window)
+    g_raw_temp = float((g_arg * weighted).sum() / t)
+    return total_loss / size, w * (g_w - float(g_w @ w)), g_raw_temp

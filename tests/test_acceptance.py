@@ -32,14 +32,12 @@ from wiener_cpe import (
     q_matrix,
     run_sweep,
     shape_for_entropy,
-    softmin,
     transmit,
 )
-from wiener_cpe.estimators import weighted_window_sums
 from wiener_cpe.numerics import wrap_sector
 from wiener_cpe.training import TrainSchedule, grad, loss, train
 
-from oracles import brute_force_map
+from oracles import brute_force_map, softmin, weighted_window_sums
 
 pytestmark = pytest.mark.acceptance
 

@@ -25,7 +25,6 @@ from wiener_cpe import (
     q_matrix,
     r_table,
     shape_for_entropy,
-    softmin,
     transmit,
 )
 from wiener_cpe import estimators
@@ -33,16 +32,22 @@ from wiener_cpe.estimators import (
     _chain_log_marginals_full,
     _chain_log_marginals_windowed,
     _distance_tables,
-    weighted_window_sums,
+    phase_major_padded,
+    window_sums,
+    window_sums_weight_grad,
 )
 from wiener_cpe.numerics import wrap_sector
 
 from oracles import (
     assert_same_decisions,
     brute_force_map,
+    einsum_softmin_forward,
     full_log_marginals_logdomain,
     full_log_marginals_rows,
     shaped_qam,
+    softmin,
+    weighted_window_sums,
+    window_weight_grad,
     windowed_log_marginals,
 )
 
@@ -314,6 +319,21 @@ class TestBlockedBp:
         np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
         live = np.isfinite(want)
         assert np.max(np.abs(got[live] - want[live])) <= 1e-12
+
+    def test_rows_without_support_raise(self, qpsk):
+        # the Q = I table above: every row the oracle leaves -inf at all
+        # grid phases must make the estimator raise, not return phase 0
+        m_count, size = 4, 2 * estimators._BP_BLOCK_ROWS + 3
+        log_r = np.full((size, m_count), -800.0)
+        log_r[np.arange(size), np.arange(size) % m_count] = 0.0
+        log_q = q_matrix(make_grid(m_count, 4), 0.0)
+        want = windowed_log_marginals(log_r, log_q, 3)
+        dead = int(np.count_nonzero(~np.isfinite(want).any(axis=1)))
+        assert dead > 0
+        cfg = _cfg(3, m_count, sigma_theta_sq=0.0)
+        tables = FactorTables(log_r, log_q)
+        with pytest.raises(FloatingPointError, match=f" {dead} of {size} rows"):
+            map_bp_estimate(np.zeros(size, dtype=complex), cfg, qpsk, tables=tables)
 
     def test_distance_tables_do_not_depend_on_chunk_budget(self, shaped64, monkeypatch):
         params = ChannelParams(snr_db=20.0, sigma_theta_sq=1.18e-4, num_symbols=301, seed=24)
@@ -601,6 +621,55 @@ class TestSoftmin:
         out = softmin(np.array(x), t)
         assert np.all(out >= 0)
         assert abs(out.sum() - 1.0) <= 1e-12
+
+
+class TestPhaseMajorWindow:
+    """Window sums along (M, K) rows and their weight adjoint against the
+    einsum over (K, M) windows. The weights are random and asymmetric, so a
+    flipped kernel cannot pass."""
+
+    @given(
+        half=st.integers(0, 12),
+        extra=st.integers(0, 300),
+        m_count=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_forward_and_adjoint_match_einsum(self, half, extra, m_count, seed):
+        rng = np.random.default_rng(seed)
+        size = 2 * half + 1 + extra
+        table = rng.uniform(0.0, 3.0, (size, m_count))
+        weights = rng.uniform(0.05, 1.0, 2 * half + 1)
+        weights /= weights.sum()
+        grad = rng.standard_normal((size, m_count))
+        padded = phase_major_padded(table, half)
+        assert padded.shape == (m_count, size + 2 * half)
+
+        got = window_sums(padded, weights)
+        want = weighted_window_sums(table, weights)
+        np.testing.assert_allclose(got.T, want, rtol=0, atol=3e-14)
+
+        got_g = window_sums_weight_grad(padded, grad.T)
+        want_g = window_weight_grad(table, grad, half)
+        scale = 3.0 * np.abs(grad).sum()
+        np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-14 * scale)
+        # <window_sums(w), G> = <w, adjoint(G)>
+        assert np.vdot(got, grad.T) == pytest.approx(weights @ got_g, rel=0, abs=1e-13 * scale)
+
+    @pytest.mark.parametrize("m_count", [15, 60])
+    def test_bps_opt_matches_einsum_pipeline(self, shaped64, m_count):
+        params = ChannelParams(snr_db=20.0, sigma_theta_sq=1e-3, num_symbols=4096, seed=25)
+        trace = transmit(shaped64, params)
+        cfg = _cfg(32, m_count, sigma_n_sq=trace.sigma_n_sq / 2)
+        rng = np.random.default_rng(26)
+        d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped64)
+        for opt in (
+            BpsOptParams.uniform(32),
+            BpsOptParams.from_raw(rng.normal(0.0, 0.5, 65), math.log(0.05)),
+        ):
+            got = bps_opt_estimate(trace.rx_symbols, cfg, shaped64, opt, d_table=d_table)
+            want = einsum_softmin_forward(d_table, cfg.grid, opt)[-1]
+            assert np.abs(wrap_sector(got - want, 4)).max() <= 1e-12
 
 
 class TestBpsOpt:

@@ -17,10 +17,11 @@ from wiener_cpe import (
     train,
     transmit,
 )
-from wiener_cpe import metrics
+from wiener_cpe import bps_opt_estimate, metrics, training
 from wiener_cpe.metrics import DEFAULT_CLAMP
 from wiener_cpe.training import (
     AdamState,
+    TrainReport,
     adam_init,
     adam_step,
     load_params,
@@ -28,6 +29,8 @@ from wiener_cpe.training import (
     save_report,
     weights_to_csv,
 )
+
+from oracles import einsum_training_grad
 
 
 def _cfg(half_window, m_count, sigma_n_sq=0.01, sigma_theta_sq=1.18e-4):
@@ -126,6 +129,38 @@ class TestGrad:
             ) / (2 * step)
             ana = np.concatenate([g_w, [g_t]])[i]
             assert abs(fd - ana) <= 1e-4 * max(abs(fd), abs(ana), 1e-8)
+
+
+class TestPhaseMajorPass:
+    def test_phase_estimates_equal_bps_opt(self, shaped64, monkeypatch):
+        passes = []
+        forward = training.softmin_readout
+
+        def recording(*args):
+            out = forward(*args)
+            passes.append(out)
+            return out
+
+        monkeypatch.setattr(training, "softmin_readout", recording)
+        trace = _trace(shaped64, 2048, seed=27)
+        cfg = _cfg(16, 15, sigma_n_sq=trace.sigma_n_sq / 2)
+        params = BpsOptParams.from_raw(np.random.default_rng(28).normal(0, 0.5, 33), -2.5)
+        grad(params, trace, cfg, shaped64)
+        assert len(passes) == 1
+        want = bps_opt_estimate(trace.rx_symbols, cfg, shaped64, params)
+        np.testing.assert_array_equal(passes[0].estimates, want)
+
+    @pytest.mark.parametrize("raw_temp", [math.log(0.1), math.log(0.01)])
+    def test_matches_einsum_pipeline(self, shaped64, raw_temp):
+        trace = _trace(shaped64, 2**12, seed=29)
+        cfg = _cfg(32, 15, sigma_n_sq=trace.sigma_n_sq / 2)
+        params = BpsOptParams.from_raw(np.random.default_rng(30).normal(0, 0.5, 65), raw_temp)
+        value = loss(params, trace, cfg, shaped64)
+        g_w, g_t = grad(params, trace, cfg, shaped64)
+        want_value, want_w, want_t = einsum_training_grad(params, trace, cfg, shaped64)
+        assert value == pytest.approx(want_value, rel=1e-14)
+        got, want = np.concatenate([g_w, [g_t]]), np.concatenate([want_w, [want_t]])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestShiftInvariance:
@@ -259,6 +294,83 @@ class TestTrain:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert len(doc["loss_curve"]) == 1
         assert doc["half_window"] == 4
+
+
+    def test_params_and_report_files_are_unchanged(self, tmp_path):
+        params = BpsOptParams.from_raw(np.array([-0.5, 0.25, 0.0]), -2.0)
+        report = TrainReport(
+            params=params,
+            loss_curve=(0.5, 0.25),
+            val_bmi_curve=(5.0, 5.25),
+            schedule=TrainSchedule(epochs=2, seed=3),
+            snr_db=20.0,
+            sigma_theta_sq=1.18e-4,
+            half_window=1,
+            m_count=8,
+            diverged=False,
+        )
+        save_params(params, tmp_path / "params.json")
+        save_report(report, tmp_path / "report.json")
+        assert (tmp_path / "params.json").read_text() == _FIXED_PARAMS_JSON
+        assert (tmp_path / "report.json").read_text() == _FIXED_REPORT_JSON
+
+
+_FIXED_PARAMS_JSON = """{
+  "raw_weights": [
+    -0.5,
+    0.25,
+    0.0
+  ],
+  "raw_temp": -2.0,
+  "weights": [
+    0.2098318260159648,
+    0.4442139791616654,
+    0.3459541948223697
+  ],
+  "temperature": 0.1353352832366127
+}"""
+
+_FIXED_REPORT_JSON = """{
+  "params": {
+    "raw_weights": [
+      -0.5,
+      0.25,
+      0.0
+    ],
+    "raw_temp": -2.0,
+    "weights": [
+      0.2098318260159648,
+      0.4442139791616654,
+      0.3459541948223697
+    ],
+    "temperature": 0.1353352832366127
+  },
+  "loss_curve": [
+    0.5,
+    0.25
+  ],
+  "val_bmi_curve": [
+    5.0,
+    5.25
+  ],
+  "schedule": {
+    "epochs": 2,
+    "lr": 0.001,
+    "batches_start": 10,
+    "batches_end": 100,
+    "batch_symbols_start": 4096,
+    "batch_symbols_end": 131072,
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.999,
+    "adam_eps": 1e-08,
+    "seed": 3
+  },
+  "snr_db": 20.0,
+  "sigma_theta_sq": 0.000118,
+  "half_window": 1,
+  "m_count": 8,
+  "diverged": false
+}"""
 
 
 def _check_finite_differences(constellation, clamp, monkeypatch):
