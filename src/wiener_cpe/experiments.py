@@ -56,8 +56,9 @@ KNOWN_ALGORITHMS = ("bps", "cpn", "map_bp", "bps_opt")
 # Brent variance search. 3: per-axis distance tables, and sigma_opt = 1e-6 on
 # frames whose BMI is flat at its maximum. 4: full-sequence BP in the log
 # domain where linear messages cannot span the frame (near-identity Q).
-# 5: bps_opt window sums and readout along phase-major rows.
-RESULTS_VERSION = 5
+# 5: bps_opt window sums and readout along phase-major rows. 6: full-sequence
+# BP in lockstep blocks (log-marginals move by about 1e-13).
+RESULTS_VERSION = 6
 
 WORKERS_ENV_VAR = "WIENER_CPE_WORKERS"
 

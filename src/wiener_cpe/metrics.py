@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +44,6 @@ class BmiReport:
     edge_excluded: bool
     negative_clamped: bool = False
     degenerate: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, text: str) -> "BmiReport":
-        return cls(**json.loads(text))
 
 
 def llrs(

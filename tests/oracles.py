@@ -1,5 +1,8 @@
 """Reference implementations and shared inputs for the tests."""
 
+import dataclasses
+import json
+
 import numpy as np
 from scipy.special import expit, logsumexp
 
@@ -14,7 +17,7 @@ from wiener_cpe import (
 )
 from wiener_cpe.channel import ChannelTrace
 from wiener_cpe.constellation import Constellation
-from wiener_cpe.metrics import DEFAULT_CLAMP, AxisDemapper, bit_signs, softplus
+from wiener_cpe.metrics import DEFAULT_CLAMP, AxisDemapper, BmiReport, bit_signs, softplus
 from wiener_cpe.numerics import softmax, wrap_sector
 
 _BRUTE_FORCE_LIMIT = 10_000_000
@@ -101,18 +104,24 @@ def windowed_log_marginals(log_r, log_q, half_window):
         return np.log(fwd) + log_r + np.log(bwd)
 
 
-def full_log_marginals_rows(log_r, q_lin):
-    """Reference full-sequence BP in linear arithmetic: one row message per
-    step, each step a one-row ``propagate_rows``, with the given linear
-    transition matrix."""
-    size, _ = log_r.shape
+def row_loop_messages(log_r, q_lin):
+    """Reference forward messages of full-sequence BP in linear arithmetic:
+    messages[0] = 1 and each later row one one-row ``propagate_rows`` step
+    from the row before, with the given linear transition matrix."""
     r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
-    fwd = np.ones_like(log_r)
-    bwd = np.ones_like(log_r)
-    for k in range(1, size):
-        fwd[k] = propagate_rows(fwd[k - 1 : k], r_lin[k - 1 : k], q_lin, log_r[k - 1 : k])[0]
-    for k in range(size - 2, -1, -1):
-        bwd[k] = propagate_rows(bwd[k + 1 : k + 2], r_lin[k + 1 : k + 2], q_lin, log_r[k + 1 : k + 2])[0]
+    messages = np.ones_like(log_r)
+    for k in range(1, len(messages)):
+        messages[k] = propagate_rows(
+            messages[k - 1 : k], r_lin[k - 1 : k], q_lin, log_r[k - 1 : k]
+        )[0]
+    return messages
+
+
+def full_log_marginals_rows(log_r, q_lin):
+    """Reference full-sequence BP in linear arithmetic: ``row_loop_messages``
+    forward, and on the reversed frame backward."""
+    fwd = row_loop_messages(log_r, q_lin)
+    bwd = row_loop_messages(log_r[::-1], q_lin)[::-1]
     with np.errstate(divide="ignore"):
         return np.log(fwd) + log_r + np.log(bwd)
 
@@ -159,6 +168,16 @@ def assert_same_decisions(reference, candidate, mode: str, delta: float) -> int:
         f"{wrong.size} decisive rows changed their {mode}, first at rows {wrong[:10].tolist()}"
     )
     return in_band
+
+
+def bmi_report_to_json(report: BmiReport) -> str:
+    """The report's fields as one JSON object."""
+    return json.dumps(dataclasses.asdict(report))
+
+
+def bmi_report_from_json(text: str) -> BmiReport:
+    """The inverse of ``bmi_report_to_json``."""
+    return BmiReport(**json.loads(text))
 
 
 def unfloored_axis_llrs(x_hat, constellation: Constellation, sigma_sq: float, clamp: float):

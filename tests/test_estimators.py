@@ -44,6 +44,7 @@ from oracles import (
     einsum_softmin_forward,
     full_log_marginals_logdomain,
     full_log_marginals_rows,
+    row_loop_messages,
     shaped_qam,
     softmin,
     weighted_window_sums,
@@ -359,6 +360,9 @@ def shaped64_575(qam64):
     return constellation
 
 
+_L = estimators._FULL_BP_BLOCK_ROWS
+
+
 def _matched_tables(constellation, m_count, sigma_theta_sq, size, seed):
     params = ChannelParams(
         snr_db=20.0, sigma_theta_sq=sigma_theta_sq, num_symbols=size, seed=seed
@@ -370,18 +374,96 @@ def _matched_tables(constellation, m_count, sigma_theta_sq, size, seed):
 
 class TestFullSequenceBp:
     """One forward and one backward pass over the whole frame: linear
-    messages while they span the frame's dynamic range, the log domain
-    otherwise."""
+    messages in lockstep blocks while they span the frame's dynamic range,
+    the log domain otherwise."""
 
     @pytest.mark.parametrize("m_count", [15, 60])
     @pytest.mark.parametrize("sigma_theta_sq", [1.18e-4, 1e-3])
     def test_linear_pass_matches_row_loop_bit_for_bit(
         self, shaped64_575, m_count, sigma_theta_sq
     ):
-        tables = _matched_tables(shaped64_575, m_count, sigma_theta_sq, 4096, seed=25)
+        # named for the row loop it replaced, which matched this oracle bit
+        # for bit; the lockstep products round as (blocks, M) @ (M, M)
+        # products instead of one-row ones
+        size = 4096
+        tables = _matched_tables(shaped64_575, m_count, sigma_theta_sq, size, seed=25)
         got = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
         q_lin = estimators._linear_transitions(tables.q_matrix)
-        np.testing.assert_array_equal(got, full_log_marginals_rows(tables.r_table, q_lin))
+        want = full_log_marginals_rows(tables.r_table, q_lin)
+        delta = 4 * size * np.finfo(float).eps * np.abs(want).max()
+        assert assert_same_decisions(want, got, "argmax", delta) == 0
+        top = want >= want.max(axis=1, keepdims=True) - 30.0
+        assert np.max(np.abs(got[top] - want[top])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "m_count, sigma_theta_sq, seed",
+        [(15, 1.18e-4, 25), (15, 1e-3, 26), (60, 1.18e-4, 27), (60, 1e-3, 28)],
+    )
+    def test_block_starts_are_one_step_from_the_block_before(
+        self, shaped64_575, m_count, sigma_theta_sq, seed
+    ):
+        # the stopping rule's claim: in the returned messages, one lockstep
+        # step (multiply, peak, divide, one (blocks, M) @ (M, M) product)
+        # from the last row of every block gives the first row of the next
+        size = 3 * _L + 37
+        tables = _matched_tables(shaped64_575, m_count, sigma_theta_sq, size, seed=seed)
+        q_lin = estimators._linear_transitions(tables.q_matrix)
+        for log_r in (tables.r_table, tables.r_table[::-1]):
+            r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+            messages = estimators._sweep(r_lin, q_lin)
+            assert messages is not None
+            last = np.arange(_L - 1, size, _L)  # the last row of each full block
+            v = messages[last] * r_lin[last]
+            v /= v.max(axis=1)[:, None]
+            # the fourth block's last row is padding, and its end is never read
+            v = np.matmul(np.vstack([v, np.ones(m_count)]), q_lin)
+            np.testing.assert_array_equal(v[:-1], messages[last + 1])
+
+    @pytest.mark.parametrize(
+        "size, m_count",
+        [(_L - 1000, 15), (_L - 1, 2), (_L, 15), (_L, 60), (_L + 1, 15), (_L + 1, 60),
+         (2 * _L + 37, 60), (2 * _L + 37, 2)],
+    )
+    def test_block_layouts_match_row_loop(self, shaped64_575, size, m_count):
+        # one block is the row loop bit for bit; more blocks round their
+        # products as (blocks, M) @ (M, M) and stay within a few ulps
+        tables = _matched_tables(shaped64_575, m_count, 1e-3, size, seed=29)
+        q_lin = estimators._linear_transitions(tables.q_matrix)
+        for log_r in (tables.r_table, tables.r_table[::-1]):
+            r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+            got = estimators._sweep(r_lin, q_lin)
+            want = row_loop_messages(log_r, q_lin)
+            if size <= _L:
+                np.testing.assert_array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        got = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
+        want = full_log_marginals_rows(tables.r_table, q_lin)
+        delta = 4 * size * np.finfo(float).eps * np.abs(want).max()
+        assert assert_same_decisions(want, got, "argmax", delta) == 0
+
+    def test_dead_product_from_a_guessed_start_is_recomputed(self):
+        # Q = I at M = 2. From the true start of block 1, (1e-280, 1), every
+        # message keeps both entries above M * 2^-968 of its peak, so the
+        # frame is linear. From the first pass's guessed start, ones, the
+        # third row of block 1 multiplies (1, 0) by (1e-305, 1), a product
+        # below _MESSAGE_FLOOR; that must not send the frame to the log domain.
+        log_r = np.zeros((2 * _L, 2))
+        log_r[_L - 2 : _L] = [math.log(1e-140), 0.0]
+        log_r[_L : _L + 2] = [0.0, math.log(1e-200)]
+        log_r[_L + 2] = [math.log(1e-305), 0.0]
+        r_lin = np.exp(log_r)
+        log_q = q_matrix(make_grid(2, 4), 0.0)
+        q_lin = estimators._linear_transitions(log_q)
+        np.testing.assert_array_equal(q_lin, np.eye(2))
+        got = estimators._sweep(r_lin, q_lin)
+        want = row_loop_messages(log_r, q_lin)
+        assert got is not None
+        assert np.all(want.min(axis=1) >= 2 * 2.0**-968 * want.max(axis=1))
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            _chain_log_marginals_full(log_r, log_q), full_log_marginals_rows(log_r, q_lin)
+        )
 
     def test_identity_transitions_follow_column_sums(self, shaped64_575):
         # an estimator sigma_theta^2 of 0 makes Q the identity in float: the

@@ -30,7 +30,7 @@ from wiener_cpe.metrics import (
     softplus,
 )
 
-from oracles import shaped_qam, unfloored_axis_llrs
+from oracles import bmi_report_from_json, bmi_report_to_json, shaped_qam, unfloored_axis_llrs
 
 LOG_SIGMA_RANGE = (math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]))
 
@@ -446,7 +446,7 @@ class TestVarianceOptimizer:
             num_symbols_scored=100,
             edge_excluded=False,
         )
-        assert BmiReport.from_json(report.to_json()) == report
+        assert bmi_report_from_json(bmi_report_to_json(report)) == report
 
 
 def _sample_frame(constellation, count, seed):
