@@ -12,8 +12,8 @@ Four estimators over a common grid of test phases:
   phase readout, differentiable in its window weights and temperature.
 
 Emission factors R and transition factors Q are kept in the log domain
-throughout; message recursions renormalize every step, which never changes
-the argmax.
+throughout; message recursions renormalize (every step, or in windowed BP
+only near underflow and at the last step), which never changes the argmax.
 """
 
 from __future__ import annotations
@@ -263,13 +263,26 @@ def build_factor_tables(y, cfg: EstimatorConfig, constellation: Constellation) -
 
 
 def _windowed_sum(table: np.ndarray, half_window: int) -> np.ndarray:
-    """Sliding-window column sums with windows truncated at the edges."""
-    size = table.shape[0]
-    padded = np.vstack([np.zeros((1, table.shape[1])), np.cumsum(table, axis=0)])
-    k = np.arange(size)
-    hi = np.minimum(k + half_window, size - 1)
-    lo = np.maximum(k - half_window, 0)
-    return padded[hi + 1] - padded[lo]
+    """Sliding-window column sums with windows truncated at the edges.
+
+    Row k is cumsum[min(k + N, K - 1)] - cumsum[max(k - N, 0) - 1]: one
+    slice subtraction for the rows whose window fits, and the same
+    differences gathered for the at most 2N edge rows.
+    """
+    size, width = table.shape
+    padded = np.empty((size + 1, width))
+    padded[0] = 0.0
+    np.cumsum(table, axis=0, out=padded[1:])
+    out = np.empty((size, width))
+    w = half_window
+    if size > 2 * w:
+        out[w : size - w] = padded[2 * w + 1 :] - padded[: size - 2 * w]
+    head = min(w, size)
+    edge = np.r_[0:head, max(size - w, head) : size]
+    hi = np.minimum(edge + w, size - 1)
+    lo = np.maximum(edge - w, 0)
+    out[edge] = padded[hi + 1] - padded[lo]
+    return out
 
 
 def _check_length(y, cfg: EstimatorConfig):
@@ -303,25 +316,28 @@ def cpn_estimate(y, cfg: EstimatorConfig, constellation: Constellation, tables=N
 
 
 _MESSAGE_FLOOR = 1e-300
+_RESCALE_BELOW = 2.0**-64
+_WINDOWED_Q_FLUSH = 2.0**-900
 
 
-def _linear_transitions(log_q) -> np.ndarray:
-    # exp(log_q) with the entries below the smallest normal double set to
-    # 0: a subnormal operand makes every product that touches it several
-    # times slower, and each such entry adds less than tiny to a message
-    # entry (see map_bp_estimate)
+def _linear_transitions(log_q, flush: float = np.finfo(np.float64).tiny) -> np.ndarray:
+    # exp(log_q) with the entries below `flush` set to 0: a subnormal
+    # operand or product makes every product that touches it several times
+    # slower, and the bound on what a flushed entry can move is in
+    # map_bp_estimate
     q_lin = np.exp(log_q)
-    q_lin[q_lin < np.finfo(np.float64).tiny] = 0.0
+    q_lin[q_lin < flush] = 0.0
     return q_lin
 
 
-def _step_columns(messages, r_lin, log_r, q_lin_t):
+def _step_columns(messages, v, r_lin, log_r, q_lin_t, last: bool):
     # One sum-product step, in place, for a batch of (M, n) column messages:
-    # multiply in the emission, renormalize each column by its peak (the
-    # log-domain normalization, done in linear arithmetic), push through the
-    # transition matrix. Columns whose linear product underflows entirely
-    # are recomputed through the log domain, which always has a finite peak.
-    v = messages * r_lin
+    # multiply in the emission into the buffer v, divide a column by its
+    # peak only if the peak fell below _RESCALE_BELOW or this is the last
+    # step, push through the transition matrix. Columns whose linear
+    # product underflows entirely are recomputed through the log domain,
+    # which always has a finite peak.
+    np.multiply(messages, r_lin, out=v)
     peak = v.max(axis=0)
     dead = peak < _MESSAGE_FLOOR
     if np.any(dead):
@@ -329,39 +345,60 @@ def _step_columns(messages, r_lin, log_r, q_lin_t):
             b = np.log(messages[:, dead]) + log_r[:, dead]
         v[:, dead] = np.exp(b - b.max(axis=0))
         peak[dead] = 1.0
-    v /= peak
+    if last:
+        v /= peak
+    else:
+        low = peak < _RESCALE_BELOW
+        if np.any(low):
+            v[:, low] /= peak[low]
     np.matmul(q_lin_t, v, out=messages)
 
 
-def _windowed_block(log_r, q_lin_t, half_window: int) -> np.ndarray:
-    # log_r is the block's (M, rows) transpose, so each message is a
-    # contiguous column and a step is one (M, M) @ (M, rows) product
+def _windowed_messages(log_r, q_lin_t, half_window: int, keep: slice):
+    # log_r is the (M, rows) transpose of a block and its halos, `keep` its
+    # output columns. The forward and backward messages are (M, kept)
+    # arrays of the kept columns only: forward column j folds in emission
+    # column keep.start + j - s at step s, backward column j emission column
+    # keep.start + j + s, and a step is one (M, M) @ (M, n) product. Every
+    # column a step reaches is reached again at s = 1, the last step.
     size = log_r.shape[1]
+    off, kept = keep.start, keep.stop - keep.start
     r_lin = np.exp(log_r - log_r.max(axis=0))
-    fwd = np.ones_like(log_r)
-    bwd = np.ones_like(log_r)
+    fwd = np.ones((log_r.shape[0], kept))
+    bwd = np.ones_like(fwd)
+    v = np.empty_like(fwd)
     for s in range(half_window, 0, -1):
-        head = slice(0, size - s)
-        _step_columns(fwd[:, s:], r_lin[:, head], log_r[:, head], q_lin_t)
-        _step_columns(bwd[:, head], r_lin[:, s:], log_r[:, s:], q_lin_t)
-    with np.errstate(divide="ignore"):
-        np.log(fwd, out=fwd)
-        np.log(bwd, out=bwd)
-    fwd += log_r
-    fwd += bwd
-    return fwd
+        first = max(s - off, 0)  # forward columns whose window reaches s rows back
+        if first < kept:
+            src = slice(off + first - s, off + kept - s)
+            _step_columns(
+                fwd[:, first:], v[:, first:], r_lin[:, src], log_r[:, src], q_lin_t, s == 1
+            )
+        stop = min(kept, size - off - s)  # backward columns whose window reaches s rows on
+        if stop > 0:
+            src = slice(off + s, off + s + stop)
+            _step_columns(
+                bwd[:, :stop], v[:, :stop], r_lin[:, src], log_r[:, src], q_lin_t, s == 1
+            )
+    return fwd, bwd
 
 
 def _chain_log_marginals_windowed(log_r, log_q, half_window: int) -> np.ndarray:
     # output rows [a, b) run the recursion on rows [a - N, b + N) and keep
     # [a, b): every kept row still sees its whole (edge-truncated) window
     size, _ = log_r.shape
-    q_lin_t = _linear_transitions(log_q).T
+    q_lin_t = _linear_transitions(log_q, _WINDOWED_Q_FLUSH).T
     out = np.empty_like(log_r)
     for a, b in _row_blocks(size, _BP_BLOCK_ROWS):
         lo, hi = max(0, a - half_window), min(size, b + half_window)
         block = np.ascontiguousarray(log_r[lo:hi].T)
-        out[a:b] = _windowed_block(block, q_lin_t, half_window)[:, a - lo : b - lo].T
+        fwd, bwd = _windowed_messages(block, q_lin_t, half_window, slice(a - lo, b - lo))
+        with np.errstate(divide="ignore"):
+            np.log(fwd, out=fwd)
+            np.log(bwd, out=bwd)
+        fwd += block[:, a - lo : b - lo]
+        fwd += bwd
+        out[a:b] = fwd.T
     return out
 
 
@@ -454,17 +491,30 @@ def map_bp_estimate(
 
     The windowed variant runs in blocks of ``_BP_BLOCK_ROWS`` (1024) output
     rows, the last block taking the remainder. Each block runs the
-    recursion over its rows plus N-row halos on both sides and keeps its own
-    rows, so every row sees the same edge-truncated window as one pass over
-    the whole sequence, while the block's messages stay in cache. A block's
-    log R is transposed once to (M, rows): every message is a contiguous
-    column, peak-normalized over its M entries, and each step pushes all
-    of a block's messages through Q with one (M, M) @ (M, rows) product
-    (Q^T @ v). The marginals are transposed back as the block is written
-    out. Blocks are never cut below 512 rows: on OpenBLAS 0.3.31, blocks of
-    256 rows or fewer round the M=60 products differently (log-marginals
-    move by up to 2.8e-14), while 512 to 4096 rows reproduce the one-pass
-    result bit for bit.
+    recursion over its rows plus N-row halos on both sides, so every row
+    sees the same edge-truncated window as one pass over the whole
+    sequence, while the block's messages stay in cache. Halo rows are
+    emission inputs, not outputs: the forward and backward messages are
+    contiguous (M, rows) arrays of the block's kept rows only, forward
+    column j folding in the emission s rows before it at step s and
+    backward column j the one s rows after it. A block's log R is
+    transposed once to (M, rows + halos); each step pushes all of a
+    block's messages through Q with one (M, M) @ (M, rows) product
+    (Q^T @ v), and the marginals are transposed back as the block is
+    written out. Blocks are never cut below 512 rows: on OpenBLAS 0.3.31,
+    products of 256 columns or fewer round differently at M=60
+    (log-marginals move by up to 2.8e-14).
+
+    A windowed step multiplies in the emission and takes each column's
+    peak, but divides a column by it only when that peak has fallen below
+    ``_RESCALE_BELOW`` (2^-64), or on the last step (s = 1, which every
+    column that is stepped at all takes). Each emission row peaks at 1,
+    and Q, symmetric with rows summing to 1, averages: it neither raises a
+    column's peak nor leaves it below 1/M of the product's. So every
+    product pushed through Q peaks in [2^-64, 1] and every message in
+    [2^-64/M, 1]. A skipped division scales the column by a constant, so
+    after the last division the log-marginals are those of a recursion
+    normalized at every step, up to rounding (about 1e-14 on 2^15 frames).
 
     The full-sequence variant cuts each direction's frame into blocks of
     ``_FULL_BP_BLOCK_ROWS`` (1024) rows, the last block padded with rows of
@@ -504,18 +554,37 @@ def map_bp_estimate(
     logsumexp over Q per step, which is exact to rounding and several times
     slower.
 
-    Both variants set the transition entries below the smallest normal
+    Full-sequence BP sets the transition entries below the smallest normal
     double (tiny = 2.2e-308) to 0 before the products, because subnormal
-    operands make them several times slower. Messages are peak-normalized
-    to 1 before each product and Q is symmetric with rows summing to 1, so
-    every propagated entry lies in [0, 1] and the largest is at least 1/M.
-    A flushed entry moves an output entry by less than M * tiny, which is
-    below half an ulp of every entry above M * 2^-968 (2.4e-290 at M=60):
-    only entries about 288 orders of magnitude below their message's peak
-    can change. An argmax could move only where the emission and the
-    opposite message favour such an entry over the message's peak by a
-    factor of about 1e288; at the 1.18e-4 centre cell (120 flushed entries
-    at M=60) the marginals stay bit-identical.
+    operands make them several times slower. Its messages are
+    peak-normalized to 1 before each product, so every propagated entry
+    lies in [0, 1] and the largest is at least 1/M. A flushed entry moves
+    an output entry by less than M * tiny, which is below half an ulp of
+    every entry above M * 2^-968 (2.4e-290 at M=60): only entries about
+    288 orders of magnitude below their message's peak can change. An
+    argmax could move only where the emission and the opposite message
+    favour such an entry over the message's peak by a factor of about
+    1e288. At the 1.18e-4 centre cell 120 entries of the M=60 Q are
+    flushed.
+
+    Windowed BP flushes Q below tau = ``_WINDOWED_Q_FLUSH`` (2^-900)
+    instead: its messages sit up to 2^64 below a normalized one, so more
+    Q * v products would be subnormal. A step pushes a product v of peak
+    p in [2^-64, 1] through Q. A flushed entry adds less than tau * p to
+    an output entry, and at most M of them do, so the flush moves an
+    output entry by less than M * tau * p <= M^2 * tau * P, where
+    P >= p / M is the output's peak. Half an ulp of an entry x is at
+    least 2^-53 x, so the flush moves no entry x >= M^2 * 2^-847 * P by
+    as much as half an ulp: for M <= 64, every entry within 2^-835 (about
+    579 nats) of its message's peak. An error made at an earlier step is
+    carried through the emission (at most 1) and Q (an average), neither
+    of which enlarges it. At the 1.18e-4 centre cell 120 more entries of
+    the M=60 Q are flushed, and on the tested frames no message entry
+    within that band moved by a bit. Full-sequence BP keeps the tiny
+    flush because its linear/log rule rests on it: a 2^-900 flush would
+    raise that rule's bound from M * 2^-968 to about M * 2^-847 and send
+    every frame whose messages span more than about 580 nats to the
+    log-domain pass.
 
     The windowed variant's dead-column fallback rescues one underflowed
     product, but forward and backward messages can still lose each other's

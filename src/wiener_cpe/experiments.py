@@ -57,8 +57,10 @@ KNOWN_ALGORITHMS = ("bps", "cpn", "map_bp", "bps_opt")
 # frames whose BMI is flat at its maximum. 4: full-sequence BP in the log
 # domain where linear messages cannot span the frame (near-identity Q).
 # 5: bps_opt window sums and readout along phase-major rows. 6: full-sequence
-# BP in lockstep blocks (log-marginals move by about 1e-13).
-RESULTS_VERSION = 6
+# BP in lockstep blocks (log-marginals move by about 1e-13). 7: windowed BP
+# rescales a message only near underflow and flushes Q below 2^-900
+# (log-marginals move by about 1e-14).
+RESULTS_VERSION = 7
 
 WORKERS_ENV_VAR = "WIENER_CPE_WORKERS"
 

@@ -67,6 +67,17 @@ def brute_force_map(y_window, cfg: EstimatorConfig, constellation: Constellation
     return float(cfg.grid.phases[int(np.argmax(marginal))]), marginal
 
 
+def gather_windowed_sum(table: np.ndarray, half_window: int) -> np.ndarray:
+    """Sliding-window column sums with windows truncated at the edges, as
+    one fancy-index gather of the cumulative sums for every row."""
+    size = table.shape[0]
+    padded = np.vstack([np.zeros((1, table.shape[1])), np.cumsum(table, axis=0)])
+    k = np.arange(size)
+    hi = np.minimum(k + half_window, size - 1)
+    lo = np.maximum(k - half_window, 0)
+    return padded[hi + 1] - padded[lo]
+
+
 _MESSAGE_FLOOR = 1e-300
 
 

@@ -44,6 +44,7 @@ from oracles import (
     einsum_softmin_forward,
     full_log_marginals_logdomain,
     full_log_marginals_rows,
+    gather_windowed_sum,
     row_loop_messages,
     shaped_qam,
     softmin,
@@ -193,6 +194,19 @@ class TestBps:
             bps_estimate(np.ones(5, dtype=complex), cfg, shaped64)
 
 
+class TestWindowedSum:
+    @pytest.mark.parametrize(
+        "half, size", [(0, 1), (0, 9), (4, 9), (4, 10), (4, 137), (32, 65), (32, 1000)]
+    )
+    def test_matches_gather_oracle_bit_for_bit(self, half, size):
+        # K = 2N+1, 2N+2, ragged K and N = 0: the slice form and the
+        # gather form subtract the same cumulative sums
+        table = np.random.default_rng(size + half).standard_normal((size, 7)) * 50.0
+        np.testing.assert_array_equal(
+            estimators._windowed_sum(table, half), gather_windowed_sum(table, half)
+        )
+
+
 class TestCpn:
     def test_matches_bps_at_high_snr_uniform(self, qam64):
         params = ChannelParams(snr_db=25.0, sigma_theta_sq=1e-5, num_symbols=4096, seed=3)
@@ -288,7 +302,7 @@ class TestBlockedBp:
     flushed Q; it must reproduce the one-pass row recursion on the raw Q."""
 
     @pytest.mark.parametrize("m_count", [15, 60])
-    @pytest.mark.parametrize("sigma_theta_sq", [0.0, 1.18e-4, 1e-3])
+    @pytest.mark.parametrize("sigma_theta_sq", [0.0, 1e-5, 1.18e-4, 1e-3])
     def test_matches_unblocked_unflushed_oracle(self, shaped64, m_count, sigma_theta_sq):
         block = estimators._BP_BLOCK_ROWS
         size = 2 * block + block // 2 + 37  # three blocks, the last one ragged
@@ -304,6 +318,82 @@ class TestBlockedBp:
         live = want > -700.0
         assert live.any(axis=1).all()
         assert np.max(np.abs(got[live] - want[live])) <= 1e-12
+
+    @pytest.mark.parametrize("m_count", [15, 60])
+    def test_half_window_wider_than_a_block(self, shaped64, m_count):
+        # N > _BP_BLOCK_ROWS: the first block's early forward steps reach no
+        # kept column, and every block's halo is the whole frame on one side
+        size, half = 3000, 1100
+        assert half > estimators._BP_BLOCK_ROWS
+        params = ChannelParams(snr_db=20.0, sigma_theta_sq=1.18e-4, num_symbols=size, seed=30)
+        trace = transmit(shaped64, params)
+        cfg = _cfg(half, m_count, sigma_n_sq=trace.sigma_n_sq / 2)
+        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        got = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
+        want = windowed_log_marginals(tables.r_table, tables.q_matrix, half)
+        delta = 4 * half * np.finfo(float).eps * np.abs(want).max()
+        assert assert_same_decisions(want, got, "argmax", delta) == 0
+        top = want >= want.max(axis=1, keepdims=True) - 30.0
+        assert np.max(np.abs(got[top] - want[top])) <= 1e-12
+
+    def test_rescale_keeps_columns_that_emissions_oppose(self, monkeypatch):
+        # each row favours the next grid phase by 100 nats, while one grid
+        # step of Q costs 76: every step takes 76 to 100 nats off a column's
+        # peak, so it falls below _RESCALE_BELOW (44 nats) within the window.
+        # Without the division the peaks sink until entries 100 nats below
+        # them underflow, long before a column counts as dead.
+        m_count, half = 4, 20
+        size = 2 * estimators._BP_BLOCK_ROWS + 100
+        rng = np.random.default_rng(31)
+        log_r = np.full((size, m_count), -100.0)
+        log_r[np.arange(size), np.arange(size) % m_count] = 0.0
+        log_r += rng.uniform(-1.0, 0.0, log_r.shape)
+        log_q = q_matrix(make_grid(m_count, 4), 1e-3)
+        want = windowed_log_marginals(log_r, log_q, half)
+        assert np.all(np.isfinite(want))
+        got = _chain_log_marginals_windowed(log_r, log_q, half)
+        delta = 4 * half * np.finfo(float).eps * np.abs(want).max()
+        assert assert_same_decisions(want, got, "argmax", delta) == 0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        # the frame needs the rescale: with it disabled, decisions move
+        monkeypatch.setattr(estimators, "_RESCALE_BELOW", 0.0)
+        unscaled = _chain_log_marginals_windowed(log_r, log_q, half)
+        assert np.any(np.argmax(unscaled, axis=1) != np.argmax(want, axis=1))
+
+    @pytest.mark.parametrize("snr_db, seed", [(16.0, 32), (20.0, 33), (24.0, 34)])
+    def test_flush_moves_no_entry_above_its_band(self, shaped64, monkeypatch, snr_db, seed):
+        # M=60, 1.18e-4: Q has entries between tiny and 2^-900 that only the
+        # windowed flush zeroes. Against the same recursion flushed at tiny,
+        # message entries at least M^2 2^-847 of their column's peak (the
+        # band of map_bp_estimate's docstring) agree to 1e-12, and no
+        # decision moves.
+        m_count, size, half = 60, 2 * estimators._BP_BLOCK_ROWS + 37, 32
+        params = ChannelParams(
+            snr_db=snr_db, sigma_theta_sq=1.18e-4, num_symbols=size, seed=seed
+        )
+        trace = transmit(shaped64, params)
+        cfg = _cfg(half, m_count, sigma_n_sq=trace.sigma_n_sq / 2)
+        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        tiny = np.finfo(float).tiny
+        q_tiny = estimators._linear_transitions(tables.q_matrix, tiny)
+        q_flushed = estimators._linear_transitions(
+            tables.q_matrix, estimators._WINDOWED_Q_FLUSH
+        )
+        assert np.count_nonzero(q_tiny) > np.count_nonzero(q_flushed)
+        block = np.ascontiguousarray(tables.r_table.T)
+        keep = slice(0, size)
+        band = m_count**2 * 2.0**-847
+        for want, got in zip(
+            estimators._windowed_messages(block, q_tiny.T, half, keep),
+            estimators._windowed_messages(block, q_flushed.T, half, keep),
+        ):
+            inside = want >= band * want.max(axis=0)
+            np.testing.assert_allclose(got[inside], want[inside], rtol=1e-12, atol=0.0)
+        got = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
+        monkeypatch.setattr(estimators, "_WINDOWED_Q_FLUSH", tiny)
+        want = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
+        delta = 4 * half * np.finfo(float).eps * np.abs(want).max()
+        assert assert_same_decisions(want, got, "argmax", delta) == 0
 
     def test_dead_columns_take_the_log_domain_step(self):
         # with Q the identity in float and each symbol favouring the next
