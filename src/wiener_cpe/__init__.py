@@ -30,6 +30,7 @@ from .experiments import (
     ExperimentConfig,
     build_constellation,
     emit_plot_data,
+    evaluate_params,
     run_sweep,
     run_train,
 )

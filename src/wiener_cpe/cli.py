@@ -18,6 +18,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     emit_plot_data,
+    evaluate_params,
     load_sweep,
     run_sweep,
     run_train,
@@ -105,7 +106,7 @@ def build_parser() -> _Parser:
     trainp.add_argument("--loss", choices=("bce", "phase_mse"), default="bce")
     trainp.add_argument("--heldout-realizations", type=int, default=0)
 
-    evalp = sub.add_parser("eval", help="evaluate trained params on held-out seeds")
+    evalp = sub.add_parser("eval", help="score bps and trained bps_opt on held-out seeds")
     _add_config_arguments(evalp)
     evalp.add_argument("--params", type=str, required=True)
     evalp.add_argument("--out", type=str, required=True)
@@ -138,18 +139,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from dataclasses import replace
-
     config = _config_from_args(args)
-    if len(config.snr_db) != 1 or len(config.sigma_theta_sq) != 1:
-        raise ConfigError("eval expects a single (snr, sigma_theta_sq) cell")
-    eval_config = replace(
-        config,
-        trained_params_path=args.params,
-        seed=config.seed + args.seed_offset,
-        algorithms=config.algorithms if "bps_opt" in config.algorithms else ("bps", "bps_opt"),
+    evaluate_params(
+        config, args.params, args.out, seed_offset=args.seed_offset, workers=args.workers
     )
-    run_sweep(eval_config, args.out, workers=args.workers)
     return 0
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -152,28 +151,6 @@ class Constellation:
             log_priors=(np.log(marginals[0]), np.log(marginals[1])),
             bit_columns=columns,
             level_bits=(tables[:, 0][:, columns[0]], tables[0][:, columns[1]]),
-        )
-
-    def to_json(self) -> str:
-        """Serialize as {points: [re, im], probs, labels, sym_order}."""
-        return json.dumps(
-            {
-                "points": [[z.real, z.imag] for z in self.points],
-                "probs": self.probs.tolist(),
-                "labels": self.bit_labels.tolist(),
-                "sym_order": self.sym_order,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Constellation":
-        doc = json.loads(text)
-        points = np.array([complex(re, im) for re, im in doc["points"]])
-        return cls(
-            points=points,
-            probs=np.asarray(doc["probs"], dtype=np.float64),
-            bit_labels=np.asarray(doc["labels"], dtype=np.uint8),
-            sym_order=int(doc["sym_order"]),
         )
 
 

@@ -161,7 +161,7 @@ class CellResult:
     ``wall_time_s`` is the algorithm's own estimator, postprocessing and
     demapper-search time, and ``shared_time_s`` that of the distance tables
     and transition matrix all algorithms of the cell share, both summed over
-    realizations; ``shared_time_s`` is None for cells saved without it.
+    realizations.
     """
 
     snr_db: float
@@ -175,7 +175,7 @@ class CellResult:
     sigma_opt_values: tuple[float, ...]
     slip_counts: tuple[int, ...]
     wall_time_s: float
-    shared_time_s: float | None = None
+    shared_time_s: float
 
 
 def aggregate_cell(values) -> tuple[float, float, float]:
@@ -188,37 +188,66 @@ def aggregate_cell(values) -> tuple[float, float, float]:
     )
 
 
-def _evaluate_realization(args):
-    (constellation, config, snr_db, sigma_theta_sq, realization, opt_params) = args
-    params = ChannelParams(
+def _cell_setup(
+    config: ExperimentConfig,
+    constellation: Constellation,
+    snr_db: float,
+    sigma_theta_sq: float,
+    seed: int,
+) -> tuple[ChannelParams, EstimatorConfig]:
+    """The channel of one seeded realization and the estimator settings
+    matched to it."""
+    channel = ChannelParams(
         snr_db=snr_db,
         sigma_theta_sq=sigma_theta_sq,
         num_symbols=config.num_symbols,
-        seed=config.seed + realization,
+        seed=seed,
         phi0=config.phi0,
         random_phi0=config.random_phi0,
     )
-    trace = transmit(constellation, params)
-    grid = make_grid(config.num_test_phases, constellation.sym_order)
     # the emission kernel exp(-d^2/(2 sigma^2)) takes the per-component
     # noise variance, matching the true circular-Gaussian likelihood
     cfg = EstimatorConfig(
         half_window=config.half_window,
-        grid=grid,
-        sigma_n_sq=max(trace.sigma_n_sq / 2.0, 1e-12),
+        grid=make_grid(config.num_test_phases, constellation.sym_order),
+        sigma_n_sq=max(snr_to_noise_var(snr_db, constellation) / 2.0, 1e-12),
         sigma_theta_sq=sigma_theta_sq,
         wrap_terms=config.r_max,
         full_sequence_bp=config.full_sequence_bp,
     )
+    return channel, cfg
+
+
+def _checked_constellation(config: ExperimentConfig) -> Constellation:
+    """Build the constellation and every cell's setup, so that a bad
+    config fails as a ConfigError before anything is computed or written."""
+    try:
+        constellation = build_constellation(config)
+        for snr in config.snr_db:
+            for sigma in config.sigma_theta_sq:
+                _cell_setup(config, constellation, snr, sigma, config.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if config.num_symbols < 2 * config.half_window + 1:
+        raise ConfigError("num_symbols must be at least the window length 2 * half_window + 1")
+    return constellation
+
+
+def _evaluate_realization(args):
+    (constellation, config, snr_db, sigma_theta_sq, realization, opt_params) = args
+    params, cfg = _cell_setup(
+        config, constellation, snr_db, sigma_theta_sq, config.seed + realization
+    )
+    trace = transmit(constellation, params)
     want_min = bool({"bps", "bps_opt"} & set(config.algorithms))
     want_log_r = bool({"cpn", "map_bp"} & set(config.algorithms))
     started = time.perf_counter()
     d_table, log_r = _distance_tables(
-        trace.rx_symbols, grid, constellation, cfg.sigma_n_sq, want_min, want_log_r
+        trace.rx_symbols, cfg.grid, constellation, cfg.sigma_n_sq, want_min, want_log_r
     )
     tables = None
     if want_log_r:
-        tables = FactorTables(log_r, q_matrix(grid, cfg.sigma_theta_sq, cfg.wrap_terms))
+        tables = FactorTables(log_r, q_matrix(cfg.grid, cfg.sigma_theta_sq, cfg.wrap_terms))
     shared_s = time.perf_counter() - started
 
     out = {}
@@ -239,7 +268,7 @@ def _evaluate_realization(args):
         )
         x_hat = corrected.x_hat
         bits = trace.bits
-        if config.exclude_edges and config.num_symbols > 2 * config.half_window:
+        if config.exclude_edges:
             sl = slice(config.half_window, config.num_symbols - config.half_window)
             x_hat = x_hat[sl]
             bits = bits[sl]
@@ -271,17 +300,17 @@ def run_sweep(
     numbers across cells). Completed cells are checkpointed under
     ``cells/`` and skipped on re-run when the config hash matches.
     """
+    constellation = _checked_constellation(config)
+    digest = config_hash(config)
     out_dir = Path(output_dir)
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    digest = config_hash(config)
-    constellation = build_constellation(config)
     opt_params = _load_opt_params(config) if "bps_opt" in config.algorithms else None
     n_workers = _worker_count(workers)
 
     results: list[CellResult] = []
     wall_times: dict[str, float] = {}
-    shared_times: dict[str, float | None] = {}
+    shared_times: dict[str, float] = {}
     for i_snr, snr in enumerate(config.snr_db):
         for i_sigma, sigma in enumerate(config.sigma_theta_sq):
             cached = {
@@ -329,25 +358,15 @@ def _run_cell(constellation, config, snr, sigma, opt_params, n_workers, paths):
     cells = []
     for algo in config.algorithms:
         scores = [out[algo] for out, _ in per_realization]
-        bmi_values = tuple(s[0] for s in scores)
-        slip_counts = tuple(s[2] for s in scores)
-        median, q25, q75 = aggregate_cell(bmi_values)
-        cell = CellResult(
-            snr_db=snr,
-            sigma_theta_sq=sigma,
-            algorithm=algo,
-            bmi_median=median,
-            bmi_q25=q25,
-            bmi_q75=q75,
-            slips_median=float(np.median(slip_counts)),
-            bmi_values=bmi_values,
-            sigma_opt_values=tuple(s[1] for s in scores),
-            slip_counts=slip_counts,
-            wall_time_s=sum(s[3] for s in scores),
-            shared_time_s=shared_s,
-        )
-        _save_cell(paths[algo], cell)
-        cells.append(cell)
+        doc = {
+            "bmi_values": [s[0] for s in scores],
+            "sigma_opt_values": [s[1] for s in scores],
+            "slip_counts": [s[2] for s in scores],
+            "wall_time_s": sum(s[3] for s in scores),
+            "shared_time_s": shared_s,
+        }
+        _save_cell(paths[algo], doc)
+        cells.append(_cell_from_doc(doc, snr, sigma, algo))
     return cells
 
 
@@ -370,14 +389,7 @@ def load_sweep(config: ExperimentConfig, output_dir) -> list[CellResult]:
     return results
 
 
-def _save_cell(path: Path, cell: CellResult) -> None:
-    doc = {
-        "bmi_values": list(cell.bmi_values),
-        "sigma_opt_values": list(cell.sigma_opt_values),
-        "slip_counts": list(cell.slip_counts),
-        "wall_time_s": cell.wall_time_s,
-        "shared_time_s": cell.shared_time_s,
-    }
+def _save_cell(path: Path, doc: dict) -> None:
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w") as fh:
         json.dump(doc, fh)
@@ -386,7 +398,12 @@ def _save_cell(path: Path, cell: CellResult) -> None:
 
 def _load_cell(path: Path, snr: float, sigma: float, algo: str) -> CellResult:
     with open(path) as fh:
-        doc = json.load(fh)
+        return _cell_from_doc(json.load(fh), snr, sigma, algo)
+
+
+def _cell_from_doc(doc: dict, snr: float, sigma: float, algo: str) -> CellResult:
+    """The cell a ``cells/*.json`` doc records, whether just computed or
+    read back from disk."""
     median, q25, q75 = aggregate_cell(doc["bmi_values"])
     return CellResult(
         snr_db=snr,
@@ -400,7 +417,7 @@ def _load_cell(path: Path, snr: float, sigma: float, algo: str) -> CellResult:
         sigma_opt_values=tuple(doc["sigma_opt_values"]),
         slip_counts=tuple(int(v) for v in doc["slip_counts"]),
         wall_time_s=float(doc["wall_time_s"]),
-        shared_time_s=doc.get("shared_time_s"),
+        shared_time_s=float(doc["shared_time_s"]),
     )
 
 
@@ -507,47 +524,54 @@ def run_train(
     output_dir,
     loss_kind: str = "bce",
     heldout_realizations: int = 0,
-    heldout_seed_offset: int = 10_000,
 ):
     """Train the softmin-BPS parameters for one (snr, sigma_theta_sq) cell.
 
     Persists ``params.json``, ``report.json``, and ``weights.csv`` under
-    ``output_dir``; optionally evaluates on held-out seeds afterwards.
+    ``output_dir``; with ``heldout_realizations`` > 0 it then runs
+    ``evaluate_params`` on them into ``output_dir/heldout``.
     """
-    if len(config.snr_db) != 1 or len(config.sigma_theta_sq) != 1:
-        raise ConfigError("training requires a single (snr, sigma_theta_sq) cell")
+    _require_single_cell(config, "training")
+    constellation = _checked_constellation(config)
+    channel, cfg = _cell_setup(
+        config, constellation, config.snr_db[0], config.sigma_theta_sq[0], config.seed
+    )
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    constellation = build_constellation(config)
-    grid = make_grid(config.num_test_phases, constellation.sym_order)
-    channel = ChannelParams(
-        snr_db=config.snr_db[0],
-        sigma_theta_sq=config.sigma_theta_sq[0],
-        num_symbols=config.num_symbols,
-        seed=config.seed,
-        phi0=config.phi0,
-        random_phi0=config.random_phi0,
-    )
-    noise_var = snr_to_noise_var(config.snr_db[0], constellation)
-    cfg = EstimatorConfig(
-        half_window=config.half_window,
-        grid=grid,
-        sigma_n_sq=max(noise_var / 2.0, 1e-12),
-        sigma_theta_sq=config.sigma_theta_sq[0],
-        wrap_terms=config.r_max,
-    )
     report = train(schedule, channel, cfg, constellation, loss_kind=loss_kind)
     save_params(report.params, out_dir / "params.json")
     save_report(report, out_dir / "report.json")
     weights_to_csv(report.params, out_dir / "weights.csv")
 
     if heldout_realizations > 0:
-        eval_config = replace(
-            config,
-            algorithms=("bps", "bps_opt"),
-            realizations=heldout_realizations,
-            seed=config.seed + heldout_seed_offset,
-            trained_params_path=str(out_dir / "params.json"),
+        evaluate_params(
+            replace(config, realizations=heldout_realizations),
+            out_dir / "params.json",
+            out_dir / "heldout",
         )
-        run_sweep(eval_config, out_dir / "heldout")
     return report
+
+
+def evaluate_params(
+    config: ExperimentConfig,
+    params_path,
+    output_dir,
+    seed_offset: int = 10_000,
+    workers: int | None = None,
+) -> list[CellResult]:
+    """Score plain BPS and the trained softmin BPS in ``params_path`` on
+    the held-out seeds ``config.seed + seed_offset + r``, whatever
+    algorithms ``config`` lists."""
+    _require_single_cell(config, "held-out evaluation")
+    eval_config = replace(
+        config,
+        algorithms=("bps", "bps_opt"),
+        seed=config.seed + seed_offset,
+        trained_params_path=str(params_path),
+    )
+    return run_sweep(eval_config, output_dir, workers=workers)
+
+
+def _require_single_cell(config: ExperimentConfig, purpose: str) -> None:
+    if len(config.snr_db) != 1 or len(config.sigma_theta_sq) != 1:
+        raise ConfigError(f"{purpose} requires a single (snr, sigma_theta_sq) cell")

@@ -28,6 +28,7 @@ from .estimators import (
     window_sums_weight_grad,
 )
 from .metrics import DEFAULT_CLAMP, AxisDemapper, bit_signs, softplus
+from .postproc import cycle_slip_correct
 
 _LN2 = math.log(2.0)
 _CHUNK = 8192
@@ -124,15 +125,6 @@ def adam_step(state: AdamState, grads, lr: float) -> AdamState:
     return replace(state, params=params, m=m, v=v, step_count=t)
 
 
-def _sector_aligned_residual_phase(phi_hat, phi_true, sym_order):
-    # Data-aided removal of the n-fold ambiguity: the integer multiple of
-    # 2*pi/n separating the raw estimate from the true phase is known from
-    # the true path and treated as constant in the backward pass.
-    period = 2.0 * np.pi / sym_order
-    multiples = np.rint((phi_hat - phi_true) / period)
-    return phi_hat - multiples * period
-
-
 def _forward_backward(
     params: BpsOptParams,
     trace: ChannelTrace,
@@ -154,7 +146,10 @@ def _forward_backward(
     t = params.temperature
 
     fwd = softmin_readout(min_distance_table(y, cfg.grid, constellation), cfg.grid, params)
-    phi_derot = _sector_aligned_residual_phase(fwd.estimates, trace.phase_path, n)
+    # Data-aided removal of the n-fold ambiguity: the integer multiple of
+    # 2*pi/n separating the raw estimate from the true phase is known from
+    # the true path and treated as constant in the backward pass.
+    phi_derot = cycle_slip_correct(fwd.estimates, trace.phase_path, n)[0]
     x_hat = y * np.exp(-1j * phi_derot)
 
     g_phi = np.zeros(size) if want_grad else None

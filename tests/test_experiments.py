@@ -9,9 +9,17 @@ import sys
 import numpy as np
 import pytest
 
-from wiener_cpe import ConfigError, ExperimentConfig, emit_plot_data, run_sweep, run_train
+from wiener_cpe import (
+    BpsOptParams,
+    ConfigError,
+    ExperimentConfig,
+    emit_plot_data,
+    evaluate_params,
+    run_sweep,
+    run_train,
+)
 from wiener_cpe.experiments import aggregate_cell, config_hash
-from wiener_cpe.training import TrainSchedule
+from wiener_cpe.training import TrainSchedule, save_params
 
 
 def _small_config(**overrides):
@@ -145,6 +153,13 @@ class TestRunSweep:
         assert resumed["wall_times_s"] == walls
         assert resumed["shared_tables_s"] == first["shared_tables_s"]
 
+    def test_full_resume_returns_equal_cells(self, tmp_path):
+        config = _small_config(algorithms=("bps", "cpn", "map_bp", "bps_opt"))
+        computed = run_sweep(config, tmp_path)
+        resumed = run_sweep(config, tmp_path)  # every cell read back from cells/
+        assert resumed == computed
+        assert all(c.shared_time_s > 0 for c in resumed)
+
     def test_stale_cells_are_ignored_on_config_change(self, tmp_path):
         run_sweep(_small_config(), tmp_path)
         changed = _small_config(seed=6)
@@ -238,9 +253,6 @@ class TestEmitPlotData:
             assert lines[0].startswith("snr_db,")
 
     def test_weights_file_row_count(self, tmp_path, shaped64):
-        from wiener_cpe import BpsOptParams
-        from wiener_cpe.training import save_params
-
         params_path = tmp_path / "params.json"
         save_params(BpsOptParams.uniform(4), params_path)
         config = _small_config(trained_params_path=str(params_path))
@@ -300,6 +312,24 @@ class TestRunTrain:
         # the inline formula the mapping replaced, for finite SNR and +inf
         legacy = 10.0 ** (-snr_db / 10.0) if math.isfinite(snr_db) else 0.0
         assert sigma_n_sq == max(legacy / 2.0, 1e-12)
+
+    def test_heldout_matches_evaluate_params(self, tmp_path):
+        config = _small_config(snr_db=(15.0,), algorithms=("cpn",))
+        schedule = TrainSchedule(
+            epochs=1, batches_start=1, batches_end=1, batch_symbols_start=256,
+            batch_symbols_end=256, seed=3,
+        )
+        run_train(config, schedule, tmp_path / "model", heldout_realizations=1)
+        evaluate_params(
+            _small_config(snr_db=(15.0,), realizations=1),
+            tmp_path / "model" / "params.json",
+            tmp_path / "eval",
+        )
+        for name in ("results.csv", "realizations.csv"):
+            heldout = (tmp_path / "model" / "heldout" / name).read_bytes()
+            assert heldout == (tmp_path / "eval" / name).read_bytes()
+        with open(tmp_path / "eval" / "results.csv") as fh:
+            assert [row["algorithm"] for row in csv.DictReader(fh)] == ["bps", "bps_opt"]
 
 
 class TestCli:
@@ -376,6 +406,41 @@ class TestCli:
         )
         assert out.returncode == 1
         assert "config error" in out.stderr
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--test-phases", "1"),
+            ("--half-window", "-1"),
+            ("--order", "32"),
+            ("--symbols", "0"),
+            ("--symbols", "5", "--half-window", "4"),
+            ("--sigma-theta-sq", "1e-4", "-1e-4"),
+            ("--realizations", "0"),
+        ],
+    )
+    def test_invalid_values_exit_1_before_writing(self, tmp_path, flags):
+        out = self._run(
+            "sweep", "--order", "16", "--snr-db", "15", "--sigma-theta-sq", "1e-4",
+            "--half-window", "2", "--test-phases", "8", "--symbols", "64",
+            *flags, "--out", str(tmp_path / "out"),
+        )
+        assert out.returncode == 1, out.stderr
+        assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_scores_bps_and_bps_opt_only(self, tmp_path):
+        params_path = tmp_path / "params.json"
+        save_params(BpsOptParams.uniform(2), params_path)
+        out = self._run(
+            "eval", "--order", "16", "--target-entropy", "3.5", "--snr-db", "15",
+            "--sigma-theta-sq", "1e-4", "--algorithms", "bps", "cpn", "bps_opt",
+            "--half-window", "2", "--test-phases", "8", "--realizations", "1",
+            "--symbols", "256", "--params", str(params_path), "--out", str(tmp_path / "eval"),
+        )
+        assert out.returncode == 0, out.stderr
+        with open(tmp_path / "eval" / "results.csv") as fh:
+            assert [row["algorithm"] for row in csv.DictReader(fh)] == ["bps", "bps_opt"]
 
     def test_bad_flag_is_config_error(self, tmp_path):
         out = self._run("sweep", "--no-such-flag", "--out", str(tmp_path / "out"))
