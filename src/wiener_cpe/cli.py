@@ -62,8 +62,11 @@ def _add_config_arguments(parser):
 def _config_from_args(args) -> ExperimentConfig:
     doc = {}
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read --config {args.config}: {exc}") from exc
     for field, (flag, _, _) in _CONFIG_FLAGS.items():
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value is not None:

@@ -59,8 +59,9 @@ KNOWN_ALGORITHMS = ("bps", "cpn", "map_bp", "bps_opt")
 # 5: bps_opt window sums and readout along phase-major rows. 6: full-sequence
 # BP in lockstep blocks (log-marginals move by about 1e-13). 7: windowed BP
 # rescales a message only near underflow and flushes Q below 2^-900
-# (log-marginals move by about 1e-14).
-RESULTS_VERSION = 7
+# (log-marginals move by about 1e-14). 8: the variance search scores with
+# the cross-entropy kernel (sigma_opt moves by up to about 5e-12 in log).
+RESULTS_VERSION = 8
 
 WORKERS_ENV_VAR = "WIENER_CPE_WORKERS"
 
@@ -132,7 +133,11 @@ def _load_opt_params(config: ExperimentConfig) -> BpsOptParams:
         # t ln((M-1)/(n 1e-6)); nearer ties may blend (about 0.16% of symbols
         # at 20 dB, sigma_theta^2=1.18e-4, M=15, N=32)
         return BpsOptParams.uniform(config.half_window, temperature=1e-6)
-    params = load_params(config.trained_params_path)
+    try:
+        params = load_params(config.trained_params_path)
+    except (OSError, ValueError, KeyError) as exc:
+        path = config.trained_params_path
+        raise ConfigError(f"cannot read trained params {path}: {exc}") from exc
     if params.weights.size != 2 * config.half_window + 1:
         raise ConfigError("trained params window length does not match half_window")
     return params

@@ -9,7 +9,9 @@ import numpy as np
 
 from .constellation import AxisDecomposition, Constellation, entropy_bits
 
-_LLR_CHUNK = 4096
+# symbols per demapper block: the variance search, the training loss and
+# ``llrs`` all run the kernel on blocks of this many symbols
+DEMAP_CHUNK = 8192
 _LN2 = math.log(2.0)
 
 DEFAULT_CLAMP = 50.0
@@ -17,6 +19,7 @@ SIGMA_SQ_RANGE = (1e-6, 10.0)
 # e^-700 is a normal double, clear of the exponent range below about -707.8
 # where numpy's exp leaves its fast path
 _WEIGHT_FLOOR = -700.0
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ def llrs(
     x_hat = np.asarray(x_hat, dtype=np.complex128)
     axes = constellation.axis_decomposition()
     out = np.empty((x_hat.size, constellation.bits_per_symbol))
-    for start in range(0, x_hat.size, _LLR_CHUNK):
-        stop = min(start + _LLR_CHUNK, x_hat.size)
+    for start in range(0, x_hat.size, DEMAP_CHUNK):
+        stop = min(start + DEMAP_CHUNK, x_hat.size)
         out[start:stop] = AxisDemapper(x_hat[start:stop], axes).llrs(sigma_demap_sq, clamp).T
     return LlrFrame(out, clamp)
 
@@ -77,83 +80,140 @@ def llrs(
 class AxisDemapper:
     """The demapper kernel of scoring and training, one axis at a time.
 
-    Binds a block of K symbols to a separable constellation's per-axis
-    decomposition and keeps the squared offsets of each coordinate from its
-    axis levels, so a candidate variance costs one exponential per axis
-    level and symbol. Arrays are bit-major, (m, K), so that every
-    elementwise pass runs over contiguous symbols. ``backward``
-    differentiates the last ``llrs`` call.
+    Binds a block of K symbols (at most ``DEMAP_CHUNK``), and optionally
+    their bits, to a separable constellation's per-axis decomposition. It
+    keeps the squared offsets of each coordinate from its axis levels and,
+    given the bits, where each bit's two class sums sit, so a candidate
+    variance costs one exponential per axis level and symbol. Arrays are
+    bit-major, (m, K), so that every elementwise pass runs over contiguous
+    symbols.
 
-    Log-weights are shifted to a peak of 0 per symbol and floored at -700
-    before the exponential: a result that is subnormal, or near the
-    underflow threshold, makes the exp up to 60x and the class-sum product
-    up to 40x slower. The floor moves no LLR within the clamp: on an axis of
-    n levels it adds less than n e^-700 to a class sum, while both class
-    sums of an LLR with |L| <= clamp are at least e^-clamp (one of them
-    holds the peak weight 1). That is a relative change below 2^-54, a
-    quarter ulp, whenever clamp <= 700 - ln n - 54 ln 2 (660 for 8 levels);
-    for a larger clamp no floor is applied.
+    On an axis of n levels the log-weights are z_l = -d_l^2 / sigma^2 +
+    log p_l, shifted to a peak of 0 per symbol and floored at -700 before
+    the exponential: a result that is subnormal, or near the underflow
+    threshold, makes the exp up to 60x and the class-sum product up to 40x
+    slower. With w_l = e^z_l, a bit's class sums are the two rows of
+    ``selector @ w`` that its 0 and its 1 pick. S_correct is the row that
+    the symbol's bit picks, S_wrong the other one, and S_total their sum.
+    ``llrs`` returns L = log S_0 - log S_1 clipped to +-clamp.
+    ``cross_entropy`` sums, per bit, clip(log S_total - log S_correct,
+    softplus(-clamp), softplus(clamp)), computed as log1p(S_wrong /
+    S_correct) so that it keeps its relative precision far below 1 nat.
+    For a bit of sign s the raw value is softplus(-s L), and softplus is
+    increasing, so this equals softplus(-s clip(L, -clamp, clamp)): a bit
+    is clipped where its LLR is clamped, up to rounding.
+
+    The floor moves no value within the clamp. It adds less than n e^-700
+    to a class sum, while both class sums of a bit with |L| <= clamp, which
+    takes in every unclipped bit, are at least e^-clamp (one of them holds
+    the peak weight 1). That is a relative change below 2^-54, a quarter
+    ulp, whenever clamp <= 700 - ln n - 54 ln 2 (660 for 8 levels); for a
+    larger clamp no floor is applied.
     """
 
-    def __init__(self, x_hat: np.ndarray, axes: AxisDecomposition):
+    def __init__(self, x_hat: np.ndarray, axes: AxisDecomposition, bits: np.ndarray | None = None):
         self._axes = axes
         self._coords = (x_hat.real, x_hat.imag)
-        self._selectors = tuple(_class_selector(bits) for bits in axes.level_bits)
+        self._selectors = tuple(_class_selector(b) for b in axes.level_bits)
         self._d2 = tuple(
             np.square(c[None, :] - lv[:, None]) for c, lv in zip(self._coords, axes.levels)
         )
         self._weights = tuple(np.empty_like(d2) for d2 in self._d2)
-        self._last = None
+        if bits is not None:
+            # flat (m, K) indices, into an axis's (2m, K) class sums, of the
+            # row that each symbol's bit picks (row 2j for a 0 in the axis's
+            # bit j, 2j + 1 for a 1) and of the other row of the pair
+            offset = np.arange(x_hat.size)
+            self._picks = []
+            for cols in axes.bit_columns:
+                rows = 2 * np.arange(cols.size)[:, None] + bits[:, cols].T
+                self._picks.append((rows * x_hat.size + offset, (rows ^ 1) * x_hat.size + offset))
+
+    def _class_sums(self, axis: int, sigma_sq: float, clamp: float) -> np.ndarray:
+        """(2m, K) class sums of one axis; leaves w in ``_weights[axis]``."""
+        log_prior = self._axes.log_priors[axis]
+        weights = self._weights[axis]
+        np.multiply(self._d2[axis], -1.0 / sigma_sq, out=weights)
+        weights += log_prior[:, None]
+        weights -= weights.max(axis=0)
+        if clamp <= -_WEIGHT_FLOOR - math.log(log_prior.size) - 54.0 * _LN2:
+            np.maximum(weights, _WEIGHT_FLOOR, out=weights)
+        np.exp(weights, out=weights)
+        return self._selectors[axis] @ weights
 
     def llrs(self, sigma_sq: float, clamp: float) -> np.ndarray:
         """(m, K) LLRs at demapper variance ``sigma_sq``, clamped to +-clamp."""
-        num_bits = sum(cols.size for cols in self._axes.bit_columns)
-        raw = np.empty((num_bits, self._d2[0].shape[1]))
-        class_sums = []
-        for cols, log_prior, selector, d2, weights in zip(
-            self._axes.bit_columns, self._axes.log_priors, self._selectors, self._d2, self._weights
-        ):
-            np.multiply(d2, -1.0 / sigma_sq, out=weights)
-            weights += log_prior[:, None]
-            weights -= weights.max(axis=0)
-            if clamp <= -_WEIGHT_FLOOR - math.log(log_prior.size) - 54.0 * _LN2:
-                np.maximum(weights, _WEIGHT_FLOOR, out=weights)
-            np.exp(weights, out=weights)
-            sums = selector @ weights
-            class_sums.append(sums)
+        raw = np.empty((sum(cols.size for cols in self._axes.bit_columns), self._d2[0].shape[1]))
+        for axis, cols in enumerate(self._axes.bit_columns):
             # the column peak cancels in the ratio; a class whose mass
             # underflows relative to it yields an infinite LLR, removed by
             # the clamp
             with np.errstate(divide="ignore"):
-                log_sums = np.log(sums)
+                log_sums = np.log(self._class_sums(axis, sigma_sq, clamp))
             raw[cols] = log_sums[0::2] - log_sums[1::2]
-        self._last = (sigma_sq, clamp, raw, class_sums)
         return np.clip(raw, -clamp, clamp)
 
-    def backward(self, g_llr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d loss / d Re x_hat and d loss / d Im x_hat from the (m, K)
-        d loss / d L. A clamped LLR is constant in x_hat and passes no
-        gradient."""
-        sigma_sq, clamp, raw, class_sums = self._last
-        g_llr = np.where(np.abs(raw) <= clamp, g_llr, 0.0)  # +-inf is saturated too
+    def _penalties(self, axis: int, sigma_sq: float, clamp: float):
+        """(raw, S_correct, S_wrong) of one axis, where raw is the (m, K)
+        unclipped cross entropy log S_total - log S_correct."""
+        sums = self._class_sums(axis, sigma_sq, clamp)
+        s_correct, s_wrong = (sums.take(picks) for picks in self._picks[axis])
+        # S_correct = 0 (no floor, all mass in the wrong class) gives +inf,
+        # which the clip turns into softplus(clamp)
+        with np.errstate(divide="ignore"):
+            raw = np.divide(s_wrong, s_correct)
+        np.log1p(raw, out=raw)
+        return raw, s_correct, s_wrong
+
+    def cross_entropy(self, sigma_sq: float, clamp: float, flat_only: bool = False) -> float | None:
+        """Summed per-bit cross entropy in nats, each bit's clipped to
+        [softplus(-clamp), softplus(clamp)]. With ``flat_only`` it returns
+        None at the first axis with a bit above softplus(-clamp)."""
+        low, high = _penalty_range(clamp)
+        total = 0.0
+        for axis in range(2):
+            raw = self._penalties(axis, sigma_sq, clamp)[0]
+            if flat_only and np.any(raw > low):
+                return None
+            total += float(np.clip(raw, low, high, out=raw).sum())
+        return total
+
+    def cross_entropy_grad(self, sigma_sq: float, clamp: float):
+        """(``cross_entropy``, its derivatives in Re x_hat and in Im x_hat).
+
+        d CE_b / d z_l = w_l / S_total - [l in correct_b] w_l / S_correct_b,
+        and d z_l / d x = -2 (x - level_l) / sigma^2. A clipped bit is
+        constant in x_hat and passes no gradient.
+        """
+        low, high = _penalty_range(clamp)
+        total = 0.0
         grads = []
-        for cols, levels, coord, selector, weights, sums in zip(
-            self._axes.bit_columns,
-            self._axes.levels,
-            self._coords,
-            self._selectors,
-            self._weights,
-            class_sums,
-        ):
-            # fold d llr / d class_sums into one (2m, K) coefficient
-            coef = np.empty_like(sums)
-            coef[0::2] = g_llr[cols]
-            coef[1::2] = -g_llr[cols]
-            np.divide(coef, sums, out=coef, where=coef != 0.0)
-            d_metric = weights * (selector.T @ coef)
-            d_metric *= coord[None, :] - levels[:, None]
-            grads.append(d_metric.sum(axis=0) * (-2.0 / sigma_sq))
-        return grads[0], grads[1]
+        for axis in range(2):
+            raw, s_correct, s_wrong = self._penalties(axis, sigma_sq, clamp)
+            kept = (raw >= low) & (raw <= high)
+            total += float(np.clip(raw, low, high, out=raw).sum())
+            # per kept bit, w_l / S_total on the wrong class's levels and
+            # w_l (1 / S_total - 1 / S_correct) = -w_l (S_wrong / S_correct)
+            # / S_total on the correct class's; 0 on clipped bits, whose
+            # S_correct may be 0 (S_total >= 1, as it holds the peak weight)
+            on_wrong = kept / (s_correct + s_wrong)
+            on_correct = on_wrong * s_wrong
+            on_correct /= -np.maximum(s_correct, _TINY)
+            coef = np.empty((2 * raw.shape[0], raw.shape[1]))
+            coef.put(self._picks[axis][0], on_correct)
+            coef.put(self._picks[axis][1], on_wrong)
+            d_z = self._selectors[axis].T @ coef
+            d_z *= self._weights[axis]
+            d_z *= self._coords[axis][None, :] - self._axes.levels[axis][:, None]
+            grads.append(d_z.sum(axis=0) * (-2.0 / sigma_sq))
+        return total, grads[0], grads[1]
+
+
+def _penalty_range(clamp: float) -> tuple[float, float]:
+    """(softplus(-clamp), softplus(clamp)): the cross entropy of a bit whose
+    LLR sits at the clamp with the correct sign, and with the wrong one."""
+    low = math.log1p(math.exp(-clamp))
+    return low, clamp + low
 
 
 def _class_selector(level_bits: np.ndarray) -> np.ndarray:
@@ -259,16 +319,20 @@ def optimize_demapper_variance(
     """Maximize BMI over the demapper noise variance.
 
     Bounded Brent search on log sigma^2 over [1e-6, 10] with tolerance 1e-4
-    in the log domain. The per-axis offsets are computed once and shared by
-    every candidate variance. A frame of identical symbols cannot carry
-    information about the variance and is returned flagged as degenerate.
+    in the log domain. The per-axis offsets and the index of each bit's
+    correct class are computed once and shared by every candidate variance.
+    A frame of identical symbols cannot carry information about the
+    variance and is returned flagged as degenerate.
 
-    The smallest variance, 1e-6, is scored first. If every LLR there sits
-    at the clamp with the correct sign, each bit's cross entropy is at its
-    floor softplus(-clamp), which no variance can undercut since |L| <= clamp
-    everywhere: the BMI is flat at its maximum and 1e-6 is returned without
-    a search. Such frames (noiseless, or 24 dB at small phase noise) would
-    otherwise get an arbitrary point of the flat top.
+    The frame is scored in blocks of ``DEMAP_CHUNK`` symbols by
+    ``AxisDemapper.cross_entropy``. The smallest variance, 1e-6, is probed
+    first. If every bit's cross entropy there sits at its floor
+    softplus(-clamp), which no variance can undercut since the kernel clips
+    at it, the BMI is flat at its maximum and 1e-6 is returned without a
+    search. Such frames (noiseless, or 24 dB at small phase noise) would
+    otherwise get an arbitrary point of the flat top. The probe stops at the
+    first block and axis with a bit above the floor, so on other frames it
+    costs a fraction of one evaluation.
     """
     x_hat = np.asarray(x_hat, dtype=np.complex128)
     bits = np.asarray(bits)
@@ -277,25 +341,35 @@ def optimize_demapper_variance(
     if bits.shape != (x_hat.size, constellation.bits_per_symbol):
         raise ValueError("bits must have one row of bits_per_symbol labels per symbol")
     degenerate = bool(np.all(x_hat == x_hat.flat[0]))
-    demapper = AxisDemapper(x_hat, constellation.axis_decomposition())
-    neg_sign = np.ascontiguousarray(-bit_signs(bits).T)
+    axes = constellation.axis_decomposition()
+    blocks = [
+        AxisDemapper(x_hat[start : start + DEMAP_CHUNK], axes, bits[start : start + DEMAP_CHUNK])
+        for start in range(0, x_hat.size, DEMAP_CHUNK)
+    ]
     entropy = entropy_bits(constellation.probs)
     scale = 1.0 / (x_hat.size * _LN2)
 
+    def penalty(sigma_sq: float, flat_only: bool = False) -> float | None:
+        total = 0.0
+        for block in blocks:
+            part = block.cross_entropy(sigma_sq, clamp, flat_only)
+            if part is None:
+                return None
+            total += part
+        return total
+
     def score(log_sigma_sq: float) -> float:
-        llr = demapper.llrs(math.exp(log_sigma_sq), clamp)
-        return entropy - float(softplus(llr * neg_sign).sum()) * scale
+        return entropy - penalty(math.exp(log_sigma_sq)) * scale
 
     if degenerate:
         sigma_sq = math.sqrt(SIGMA_SQ_RANGE[0] * SIGMA_SQ_RANGE[1])
         best = score(math.log(sigma_sq))
     else:
         sigma_sq = SIGMA_SQ_RANGE[0]
-        floor = demapper.llrs(sigma_sq, clamp) * neg_sign
-        if np.all(floor == -clamp):
-            best = entropy - float(softplus(floor).sum()) * scale
+        floor = penalty(sigma_sq, flat_only=True)
+        if floor is not None:
+            best = entropy - floor * scale
         else:
-            floor = None  # not kept alive through the search
             log_best, best = _brent_max(
                 score, math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]), tol=1e-4
             )

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .channel import ChannelParams, ChannelTrace, transmit
 from .constellation import Constellation, entropy_bits
@@ -27,11 +26,10 @@ from .estimators import (
     softmin_readout,
     window_sums_weight_grad,
 )
-from .metrics import DEFAULT_CLAMP, AxisDemapper, bit_signs, softplus
+from .metrics import DEFAULT_CLAMP, DEMAP_CHUNK, AxisDemapper
 from .postproc import cycle_slip_correct
 
 _LN2 = math.log(2.0)
-_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -163,17 +161,17 @@ def _forward_backward(
         sigma_sq = max(trace.sigma_n_sq, 1e-12)
         axes = constellation.axis_decomposition()
         total_loss = 0.0
-        for start in range(0, size, _CHUNK):
-            stop = min(start + _CHUNK, size)
+        for start in range(0, size, DEMAP_CHUNK):
+            stop = min(start + DEMAP_CHUNK, size)
             xc = x_hat[start:stop]
-            demapper = AxisDemapper(xc, axes)
-            llr = demapper.llrs(sigma_sq, clamp)
-            sign = bit_signs(trace.bits[start:stop].T)
-            total_loss += float(softplus(-sign * llr).sum())
+            demapper = AxisDemapper(xc, axes, trace.bits[start:stop])
             if want_grad:
-                g_u, g_v = demapper.backward(-sign * expit(-sign * llr) / size)
+                part, g_u, g_v = demapper.cross_entropy_grad(sigma_sq, clamp)
                 # d x_hat / d phi = -j x_hat
-                g_phi[start:stop] = g_u * xc.imag - g_v * xc.real
+                g_phi[start:stop] = (g_u * xc.imag - g_v * xc.real) / size
+            else:
+                part = demapper.cross_entropy(sigma_sq, clamp)
+            total_loss += part
         total_loss /= size
 
     if not math.isfinite(total_loss):

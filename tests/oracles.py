@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -16,8 +17,17 @@ from wiener_cpe import (
     shape_for_entropy,
 )
 from wiener_cpe.channel import ChannelTrace
-from wiener_cpe.constellation import Constellation
-from wiener_cpe.metrics import DEFAULT_CLAMP, AxisDemapper, BmiReport, bit_signs, softplus
+from wiener_cpe.constellation import Constellation, entropy_bits
+from wiener_cpe.metrics import (
+    DEFAULT_CLAMP,
+    DEMAP_CHUNK,
+    SIGMA_SQ_RANGE,
+    AxisDemapper,
+    BmiReport,
+    _brent_max,
+    bit_signs,
+    softplus,
+)
 from wiener_cpe.numerics import softmax, wrap_sector
 
 _BRUTE_FORCE_LIMIT = 10_000_000
@@ -213,6 +223,73 @@ def unfloored_axis_llrs(x_hat, constellation: Constellation, sigma_sq: float, cl
     return np.clip(raw, -clamp, clamp)
 
 
+def llr_penalty(demapper: AxisDemapper, bits, sigma_sq: float, clamp: float) -> float:
+    """Summed per-bit cross entropy in nats in the LLR arithmetic that the
+    cross-entropy kernel replaced: clamped ``AxisDemapper.llrs`` times the
+    negated bit signs, softplus, and one sum."""
+    llr = demapper.llrs(sigma_sq, clamp)
+    return float(softplus(llr * -bit_signs(np.asarray(bits)).T).sum())
+
+
+def llr_variance_search(x_hat, bits, constellation: Constellation, clamp: float = DEFAULT_CLAMP):
+    """(sigma_opt, BMI clamped into [0, H]) of the demapper-variance search
+    scored with ``llr_penalty`` on the whole frame as one block: the
+    geometric-mean variance for a frame of identical symbols, the flat-top
+    check at sigma^2 = 1e-6 (every LLR at the clamp with the correct sign),
+    else bounded Brent on log sigma^2 with tolerance 1e-4."""
+    x_hat = np.asarray(x_hat, dtype=np.complex128)
+    demapper = AxisDemapper(x_hat, constellation.axis_decomposition())
+    entropy = entropy_bits(constellation.probs)
+    scale = 1.0 / (x_hat.size * math.log(2.0))
+
+    def score(log_sigma_sq):
+        return entropy - llr_penalty(demapper, bits, math.exp(log_sigma_sq), clamp) * scale
+
+    lo, hi = math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1])
+    if np.all(x_hat == x_hat[0]):
+        sigma_sq = math.sqrt(SIGMA_SQ_RANGE[0] * SIGMA_SQ_RANGE[1])
+        best = score(math.log(sigma_sq))
+    elif np.all(demapper.llrs(SIGMA_SQ_RANGE[0], clamp) * bit_signs(np.asarray(bits)).T == clamp):
+        sigma_sq, best = SIGMA_SQ_RANGE[0], score(lo)
+    else:
+        log_best, best = _brent_max(score, lo, hi, tol=1e-4)
+        sigma_sq = math.exp(log_best)
+    return sigma_sq, min(max(best, 0.0), entropy)
+
+
+def llr_cross_entropy_grad(x_hat, bits, constellation: Constellation, sigma_sq, clamp):
+    """(summed cross entropy, its derivatives in Re x_hat and Im x_hat) of a
+    block in the LLR arithmetic that the training loss used before the
+    cross-entropy kernel: softplus(-s L) summed as in ``llr_penalty``,
+    d softplus(-s L) / dL = -s expit(-s L), and the chain rule through both
+    class sums of every LLR (the former ``AxisDemapper.backward``). A
+    clamped LLR passes no gradient."""
+    x_hat = np.asarray(x_hat, dtype=np.complex128)
+    axes = constellation.axis_decomposition()
+    demapper = AxisDemapper(x_hat, axes)
+    sign = bit_signs(np.asarray(bits)).T
+    llr = demapper.llrs(sigma_sq, clamp)
+    total = float(softplus(-sign * llr).sum())
+    g_llr = -sign * expit(-sign * llr)
+    grads = []
+    for axis, (cols, levels) in enumerate(zip(axes.bit_columns, axes.levels)):
+        weights = demapper._weights[axis]
+        sums = demapper._selectors[axis] @ weights
+        with np.errstate(divide="ignore"):
+            log_sums = np.log(sums)
+        raw = log_sums[0::2] - log_sums[1::2]
+        g = np.where(np.abs(raw) <= clamp, g_llr[cols], 0.0)  # +-inf is saturated too
+        coef = np.empty_like(sums)
+        coef[0::2] = g
+        coef[1::2] = -g
+        np.divide(coef, sums, out=coef, where=coef != 0.0)
+        d_metric = weights * (demapper._selectors[axis].T @ coef)
+        coord = (x_hat.real, x_hat.imag)[axis]
+        d_metric *= coord[None, :] - levels[:, None]
+        grads.append(d_metric.sum(axis=0) * (-2.0 / sigma_sq))
+    return total, grads[0], grads[1]
+
+
 def softmin(x, t: float) -> np.ndarray:
     """exp(-x_i/t) / sum_j exp(-x_j/t), stabilized by subtracting the minimum."""
     if t <= 0:
@@ -265,7 +342,7 @@ def einsum_training_grad(
     cfg: EstimatorConfig,
     constellation: Constellation,
     clamp: float = DEFAULT_CLAMP,
-    chunk: int = 8192,
+    chunk: int = DEMAP_CHUNK,
 ):
     """(loss, raw weight gradient, raw temperature gradient) of the bce
     training loss, computed on the (K, M) distance table with
@@ -284,18 +361,16 @@ def einsum_training_grad(
     x_hat = y * np.exp(-1j * phi_derot)
 
     sigma_sq = max(trace.sigma_n_sq, 1e-12)
-    axes = constellation.axis_decomposition()
     total_loss = 0.0
     g_phi = np.zeros(size)
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
         xc = x_hat[start:stop]
-        demapper = AxisDemapper(xc, axes)
-        llr = demapper.llrs(sigma_sq, clamp)
-        sign = bit_signs(trace.bits[start:stop].T)
-        total_loss += float(softplus(-sign * llr).sum())
-        g_u, g_v = demapper.backward(-sign * expit(-sign * llr) / size)
-        g_phi[start:stop] = g_u * xc.imag - g_v * xc.real
+        part, g_u, g_v = llr_cross_entropy_grad(
+            xc, trace.bits[start:stop], constellation, sigma_sq, clamp
+        )
+        total_loss += part
+        g_phi[start:stop] = (g_u * xc.imag - g_v * xc.real) / size
 
     g_phi[collapsed] = 0.0
     safe = np.where(collapsed, 1.0, np.abs(readout) ** 2)

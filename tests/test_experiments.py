@@ -429,6 +429,24 @@ class TestCli:
         assert "config error" in out.stderr and "Traceback" not in out.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("eval", "--params"),
+            ("sweep", "--algorithms", "bps_opt", "--trained-params"),
+            ("sweep", "--config"),
+        ],
+    )
+    def test_missing_file_exits_1_before_writing(self, tmp_path, command):
+        out = self._run(
+            command[0], "--order", "16", "--snr-db", "15", "--sigma-theta-sq", "1e-4",
+            "--half-window", "2", "--test-phases", "8", "--symbols", "64",
+            *command[1:], str(tmp_path / "nope.json"), "--out", str(tmp_path / "out"),
+        )
+        assert out.returncode == 1, out.stderr
+        assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_eval_scores_bps_and_bps_opt_only(self, tmp_path):
         params_path = tmp_path / "params.json"
         save_params(BpsOptParams.uniform(2), params_path)

@@ -23,6 +23,7 @@ from wiener_cpe.constellation import entropy_bits
 from wiener_cpe import metrics
 from wiener_cpe.metrics import (
     DEFAULT_CLAMP,
+    DEMAP_CHUNK,
     SIGMA_SQ_RANGE,
     AxisDemapper,
     _brent_max,
@@ -30,7 +31,14 @@ from wiener_cpe.metrics import (
     softplus,
 )
 
-from oracles import bmi_report_from_json, bmi_report_to_json, shaped_qam, unfloored_axis_llrs
+from oracles import (
+    bmi_report_from_json,
+    bmi_report_to_json,
+    llr_penalty,
+    llr_variance_search,
+    shaped_qam,
+    unfloored_axis_llrs,
+)
 
 LOG_SIGMA_RANGE = (math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]))
 
@@ -286,6 +294,65 @@ class TestWeightFloor:
         assert np.any(floored) == (sigma_sq < 0.02)
 
 
+# The cross-entropy kernel against the LLR arithmetic it replaced: summed
+# penalties within this relative tolerance, and BMI and log sigma_opt of the
+# search within it in absolute terms.
+KERNEL_TOL = 1e-12
+
+
+def _residual_frame(constellation, num_symbols, seed, snr_db=20.0, offset=0.03):
+    """A frame derotated by its true phase path plus a fixed offset, so that
+    LLRs below the clamp remain from sigma^2 = 1e-4 up."""
+    trace = transmit(
+        constellation,
+        ChannelParams(snr_db=snr_db, sigma_theta_sq=1e-3, num_symbols=num_symbols, seed=seed),
+    )
+    return trace.rx_symbols * np.exp(-1j * (trace.phase_path + offset)), trace.bits
+
+
+class TestCrossEntropyKernel:
+    @pytest.mark.parametrize("sigma_sq", [1e-6, 1e-4, 1e-3, 0.0114, 0.05, 1.0, 10.0])
+    @pytest.mark.parametrize("clamp", [DEFAULT_CLAMP, 5.0])
+    def test_penalty_matches_llr_oracle(self, shaped64, sigma_sq, clamp):
+        x_hat, bits = _residual_frame(shaped64, DEMAP_CHUNK, seed=46)
+        axes = shaped64.axis_decomposition()
+        got = AxisDemapper(x_hat, axes, bits).cross_entropy(sigma_sq, clamp)
+        want = llr_penalty(AxisDemapper(x_hat, axes), bits, sigma_sq, clamp)
+        assert abs(got - want) <= KERNEL_TOL * want
+
+    @pytest.mark.parametrize("num_symbols", [1, 8191, 8192, 8193, 2**15 + 37])
+    def test_search_matches_llr_oracle_across_blocks(self, shaped64, num_symbols):
+        x_hat, bits = _residual_frame(shaped64, num_symbols, seed=47)
+        sigma_opt, report = optimize_demapper_variance(x_hat, bits, shaped64)
+        want_sigma, want_bmi = llr_variance_search(x_hat, bits, shaped64)
+        assert report.degenerate == (num_symbols == 1)
+        assert abs(math.log(sigma_opt / want_sigma)) <= KERNEL_TOL
+        assert abs(report.bmi_bits - want_bmi) <= KERNEL_TOL
+
+    def test_unclamped_bit_in_last_block_on_quadrature_axis_runs_brent(self, shaped64):
+        # noiseless, so every bit sits at the floor at 1e-6 except those of
+        # the last symbol, moved 1e-5 inside a quadrature decision boundary:
+        # the probe must read the frame's last block to the end
+        params = ChannelParams(
+            snr_db=math.inf, sigma_theta_sq=0.0, num_symbols=2**15 + 37, seed=48
+        )
+        trace = transmit(shaped64, params)
+        sigma_flat, _ = optimize_demapper_variance(trace.rx_symbols, trace.bits, shaped64)
+        assert sigma_flat == SIGMA_SQ_RANGE[0]
+
+        x_hat = trace.rx_symbols.copy()
+        levels = shaped64.axis_decomposition().levels[1]
+        own = int(np.argmin(np.abs(levels - x_hat[-1].imag)))
+        other = own + 1 if own + 1 < levels.size else own - 1
+        mid = 0.5 * (levels[own] + levels[other])
+        x_hat[-1] = x_hat[-1].real + 1j * (mid + 1e-5 * np.sign(levels[own] - mid))
+        sigma_opt, report = optimize_demapper_variance(x_hat, trace.bits, shaped64)
+        want_sigma, want_bmi = llr_variance_search(x_hat, trace.bits, shaped64)
+        assert sigma_opt > SIGMA_SQ_RANGE[0]
+        assert abs(math.log(sigma_opt / want_sigma)) <= KERNEL_TOL
+        assert abs(report.bmi_bits - want_bmi) <= KERNEL_TOL
+
+
 class TestBmi:
     def test_perfect_llrs_reach_entropy(self, shaped64):
         bits, symbols = _sample_frame(shaped64, 4096, seed=32)
@@ -383,20 +450,21 @@ class TestVarianceOptimizer:
 
     @pytest.mark.parametrize("snr_db", [math.inf, 30.0])
     def test_flat_top_frame_returns_smallest_variance(self, shaped64, snr_db, monkeypatch):
-        # every LLR clamps with the right sign at sigma^2 = 1e-6, so the BMI
-        # is flat at its maximum there and one scoring call settles it
+        # every bit's cross entropy sits at its floor at sigma^2 = 1e-6, so
+        # the BMI is flat at its maximum there and one probe of the frame's
+        # single block settles it
         params = ChannelParams(snr_db=snr_db, sigma_theta_sq=0.0, num_symbols=2**12, seed=44)
         trace = transmit(shaped64, params)
         calls = []
-        kernel = AxisDemapper.llrs
+        kernel = AxisDemapper.cross_entropy
 
-        def counted(self, sigma_sq, clamp):
-            calls.append(sigma_sq)
-            return kernel(self, sigma_sq, clamp)
+        def counted(self, sigma_sq, clamp, flat_only=False):
+            calls.append((sigma_sq, flat_only))
+            return kernel(self, sigma_sq, clamp, flat_only)
 
-        monkeypatch.setattr(AxisDemapper, "llrs", counted)
+        monkeypatch.setattr(AxisDemapper, "cross_entropy", counted)
         sigma_opt, report = optimize_demapper_variance(trace.rx_symbols, trace.bits, shaped64)
-        assert calls == [SIGMA_SQ_RANGE[0]]
+        assert calls == [(SIGMA_SQ_RANGE[0], True)]
         assert sigma_opt == SIGMA_SQ_RANGE[0]
         score = _oracle_score(trace.rx_symbols, trace.bits, shaped64)
         _, bmi_brent = _brent_max(score, *LOG_SIGMA_RANGE, tol=1e-4)

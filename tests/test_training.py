@@ -18,7 +18,7 @@ from wiener_cpe import (
     transmit,
 )
 from wiener_cpe import bps_opt_estimate, metrics, training
-from wiener_cpe.metrics import DEFAULT_CLAMP
+from wiener_cpe.metrics import DEFAULT_CLAMP, DEMAP_CHUNK, AxisDemapper
 from wiener_cpe.training import (
     AdamState,
     TrainReport,
@@ -30,7 +30,7 @@ from wiener_cpe.training import (
     weights_to_csv,
 )
 
-from oracles import einsum_training_grad
+from oracles import einsum_training_grad, llr_cross_entropy_grad
 
 
 def _cfg(half_window, m_count, sigma_n_sq=0.01, sigma_theta_sq=1.18e-4):
@@ -129,6 +129,23 @@ class TestGrad:
             ) / (2 * step)
             ana = np.concatenate([g_w, [g_t]])[i]
             assert abs(fd - ana) <= 1e-4 * max(abs(fd), abs(ana), 1e-8)
+
+
+class TestDemapperKernel:
+    @pytest.mark.parametrize("sigma_sq", [1e-6, 1e-4, 1e-3, 0.0114, 0.05])
+    @pytest.mark.parametrize("clamp", [DEFAULT_CLAMP, 5.0])
+    def test_matches_llr_arithmetic(self, shaped64, sigma_sq, clamp):
+        trace = _trace(shaped64, DEMAP_CHUNK, seed=31)
+        x_hat = trace.rx_symbols * np.exp(-1j * (trace.phase_path + 0.03))
+        demapper = AxisDemapper(x_hat, shaped64.axis_decomposition(), trace.bits)
+        total, g_u, g_v = demapper.cross_entropy_grad(sigma_sq, clamp)
+        want, want_u, want_v = llr_cross_entropy_grad(
+            x_hat, trace.bits, shaped64, sigma_sq, clamp
+        )
+        assert total == demapper.cross_entropy(sigma_sq, clamp)
+        assert abs(total - want) <= 1e-12 * want
+        peak = max(np.abs(want_u).max(), np.abs(want_v).max())
+        assert max(np.abs(g_u - want_u).max(), np.abs(g_v - want_v).max()) <= 1e-12 * peak
 
 
 class TestPhaseMajorPass:
@@ -375,14 +392,15 @@ _FIXED_REPORT_JSON = """{
 
 def _check_finite_differences(constellation, clamp, monkeypatch):
     saturated = []
-    forward = metrics.AxisDemapper.llrs
+    forward = metrics.AxisDemapper._penalties
 
-    def recording(self, sigma_sq, clamp):
-        out = forward(self, sigma_sq, clamp)
-        saturated.append(float(np.mean(np.abs(out) == clamp)))
+    def recording(self, axis, sigma_sq, clamp):
+        out = forward(self, axis, sigma_sq, clamp)
+        low, high = metrics._penalty_range(clamp)
+        saturated.append(float(np.mean((out[0] < low) | (out[0] > high))))
         return out
 
-    monkeypatch.setattr(metrics.AxisDemapper, "llrs", recording)
+    monkeypatch.setattr(metrics.AxisDemapper, "_penalties", recording)
     trace = _trace(constellation, 512, seed=7)
     cfg = _cfg(4, 8)
     rng = np.random.default_rng(8)
