@@ -16,7 +16,6 @@ from .estimators import (
     PhaseGrid,
     bps_estimate,
     bps_opt_estimate,
-    build_factor_tables,
     cpn_estimate,
     make_grid,
     map_bp_estimate,
@@ -34,7 +33,7 @@ from .experiments import (
     run_sweep,
     run_train,
 )
-from .metrics import BmiReport, LlrFrame, bmi, llrs, optimize_demapper_variance
+from .metrics import BmiReport, bmi, llrs, optimize_demapper_variance
 from .postproc import CorrectedTrace, cycle_slip_correct, derotate, postprocess, unwrap
 from .training import TrainReport, TrainSchedule, adam_step, grad, load_params, loss, train
 

@@ -1,6 +1,7 @@
 """Feed-forward phase estimators for the Wiener phase-noise channel.
 
-Four estimators over a common grid of test phases:
+Four estimators over a common grid of test phases, each deciding on the
+(K, M) table it is handed (``min_distance_table`` or ``r_table``):
 
 * ``bps_estimate``      - windowed blind phase search (argmin of summed
   minimum symbol distances);
@@ -255,62 +256,42 @@ def q_matrix(grid: PhaseGrid, sigma_theta_sq: float, r_max: int = 3) -> np.ndarr
     return logq - logsumexp(logq, axis=1, keepdims=True)
 
 
-def build_factor_tables(y, cfg: EstimatorConfig, constellation: Constellation) -> FactorTables:
-    return FactorTables(
-        r_table=r_table(y, cfg.grid, constellation, cfg.sigma_n_sq),
-        q_matrix=q_matrix(cfg.grid, cfg.sigma_theta_sq, cfg.wrap_terms),
-    )
-
-
 def _windowed_sum(table: np.ndarray, half_window: int) -> np.ndarray:
     """Sliding-window column sums with windows truncated at the edges.
 
-    Row k is cumsum[min(k + N, K - 1)] - cumsum[max(k - N, 0) - 1]: one
-    slice subtraction for the rows whose window fits, and the same
-    differences gathered for the at most 2N edge rows.
+    One slice subtraction S[2N + 1:] - S[:K] over the cumulative sum S of
+    the table with N + 1 zero rows in front and N behind: adding a zero row
+    leaves a partial sum exact, and the edge rows get truncated windows.
     """
     size, width = table.shape
-    padded = np.empty((size + 1, width))
-    padded[0] = 0.0
-    np.cumsum(table, axis=0, out=padded[1:])
-    out = np.empty((size, width))
     w = half_window
-    if size > 2 * w:
-        out[w : size - w] = padded[2 * w + 1 :] - padded[: size - 2 * w]
-    head = min(w, size)
-    edge = np.r_[0:head, max(size - w, head) : size]
-    hi = np.minimum(edge + w, size - 1)
-    lo = np.maximum(edge - w, 0)
-    out[edge] = padded[hi + 1] - padded[lo]
-    return out
+    sums = np.zeros((size + 2 * w + 1, width))
+    sums[w + 1 : w + 1 + size] = table
+    np.cumsum(sums, axis=0, out=sums)
+    return sums[2 * w + 1 :] - sums[:size]
 
 
-def _check_length(y, cfg: EstimatorConfig):
-    if len(y) < 2 * cfg.half_window + 1:
+def _check_length(table, cfg: EstimatorConfig):
+    if len(table) < 2 * cfg.half_window + 1:
         raise ValueError("sequence shorter than the estimation window")
 
 
-def bps_estimate(y, cfg: EstimatorConfig, constellation: Constellation, d_table=None) -> np.ndarray:
-    """Blind phase search: per-symbol argmin over the grid of the windowed
-    sum of minimum symbol distances. Windows are truncated at the sequence
-    edges; argmin ties break to the lowest grid index.
+def bps_estimate(d_table, cfg: EstimatorConfig) -> np.ndarray:
+    """Blind phase search on the (K, M) distance table: per-symbol argmin of
+    the windowed sum of minimum symbol distances. Windows are truncated at
+    the sequence edges; argmin ties break to the lowest grid index.
     """
-    _check_length(y, cfg)
-    d = d_table if d_table is not None else min_distance_table(y, cfg.grid, constellation)
-    sums = _windowed_sum(d, cfg.half_window)
+    _check_length(d_table, cfg)
+    sums = _windowed_sum(d_table, cfg.half_window)
     return cfg.grid.phases[np.argmin(sums, axis=1)]
 
 
-def cpn_estimate(y, cfg: EstimatorConfig, constellation: Constellation, tables=None) -> np.ndarray:
-    """Constant-phase-noise MAP: argmax of the windowed sum of log emission
-    factors (symbol priors included, transition model dropped).
+def cpn_estimate(log_r, cfg: EstimatorConfig) -> np.ndarray:
+    """Constant-phase-noise MAP on the (K, M) log emission table: argmax of
+    the windowed sum of log emission factors (symbol priors included,
+    transition model dropped).
     """
-    _check_length(y, cfg)
-    log_r = (
-        tables.r_table
-        if tables is not None
-        else r_table(y, cfg.grid, constellation, cfg.sigma_n_sq)
-    )
+    _check_length(log_r, cfg)
     sums = _windowed_sum(log_r, cfg.half_window)
     return cfg.grid.phases[np.argmax(sums, axis=1)]
 
@@ -470,14 +451,9 @@ def _chain_log_marginals_full(log_r, log_q) -> np.ndarray:
     return _log_sweep(log_r, log_q) + log_r + _log_sweep(log_r[::-1], log_q)[::-1]
 
 
-def map_bp_estimate(
-    y,
-    cfg: EstimatorConfig,
-    constellation: Constellation,
-    tables: FactorTables | None = None,
-    return_marginals: bool = False,
-):
-    """Approximate MAP phase estimates by sum-product message passing.
+def map_bp_estimate(tables: FactorTables, cfg: EstimatorConfig) -> np.ndarray:
+    """Approximate MAP phase estimates by sum-product message passing on
+    the log emission table and transition matrix of ``tables``.
 
     For each output symbol the forward recursion folds in the window
     symbols before it and the backward recursion those after it; the
@@ -592,9 +568,7 @@ def map_bp_estimate(
     every grid phase. Its argmax would silently be grid phase 0, so such a
     frame raises FloatingPointError with the count of dead rows instead.
     """
-    _check_length(y, cfg)
-    if tables is None:
-        tables = build_factor_tables(y, cfg, constellation)
+    _check_length(tables.r_table, cfg)
     if cfg.full_sequence_bp:
         log_marginals = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
     else:
@@ -607,10 +581,7 @@ def map_bp_estimate(
                 f"windowed BP lost its messages' support on {int(dead.sum())} of "
                 f"{dead.size} rows (log-marginals -inf at every grid phase)"
             )
-    estimates = cfg.grid.phases[np.argmax(log_marginals, axis=1)]
-    if return_marginals:
-        return estimates, log_marginals
-    return estimates
+    return cfg.grid.phases[np.argmax(log_marginals, axis=1)]
 
 
 class SoftminReadout(NamedTuple):
@@ -680,14 +651,9 @@ def softmin_readout(d_table, grid: PhaseGrid, params: BpsOptParams) -> SoftminRe
     )
 
 
-def bps_opt_estimate(
-    y,
-    cfg: EstimatorConfig,
-    constellation: Constellation,
-    params: BpsOptParams,
-    d_table=None,
-) -> np.ndarray:
-    """Weighted softmin BPS with complex-exponential readout.
+def bps_opt_estimate(d_table, cfg: EstimatorConfig, params: BpsOptParams) -> np.ndarray:
+    """Weighted softmin BPS with complex-exponential readout, on the (K, M)
+    minimum-distance table.
 
     D_m = sum_i w_i d_{i,m} over the window; the estimate is
     arg(e^{j phi n} . softmin_t(D)) / n, continuous in [-pi/n, pi/n).
@@ -704,8 +670,7 @@ def bps_opt_estimate(
     The pass runs on the table transposed to (M, K) (``softmin_readout``):
     window sums and the softmin then run along contiguous rows.
     """
-    _check_length(y, cfg)
+    _check_length(d_table, cfg)
     if params.weights.size != 2 * cfg.half_window + 1:
         raise ValueError("weights length must equal the window length 2N+1")
-    d = d_table if d_table is not None else min_distance_table(y, cfg.grid, constellation)
-    return softmin_readout(d, cfg.grid, params).estimates
+    return softmin_readout(d_table, cfg.grid, params).estimates

@@ -93,6 +93,9 @@ class ExperimentConfig:
     random_phi0: bool = False
 
     def __post_init__(self):
+        for name in ("snr_db", "sigma_theta_sq", "algorithms"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list")
         object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
         object.__setattr__(self, "sigma_theta_sq", tuple(float(v) for v in self.sigma_theta_sq))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
@@ -259,15 +262,13 @@ def _evaluate_realization(args):
     for algo in config.algorithms:
         started = time.perf_counter()
         if algo == "bps":
-            phi_raw = bps_estimate(trace.rx_symbols, cfg, constellation, d_table=d_table)
+            phi_raw = bps_estimate(d_table, cfg)
         elif algo == "cpn":
-            phi_raw = cpn_estimate(trace.rx_symbols, cfg, constellation, tables=tables)
+            phi_raw = cpn_estimate(log_r, cfg)
         elif algo == "map_bp":
-            phi_raw = map_bp_estimate(trace.rx_symbols, cfg, constellation, tables=tables)
+            phi_raw = map_bp_estimate(tables, cfg)
         else:
-            phi_raw = bps_opt_estimate(
-                trace.rx_symbols, cfg, constellation, opt_params, d_table=d_table
-            )
+            phi_raw = bps_opt_estimate(d_table, cfg, opt_params)
         corrected = postprocess(
             phi_raw, trace.rx_symbols, trace.phase_path, constellation.sym_order
         )
@@ -288,8 +289,11 @@ def _evaluate_realization(args):
 def _worker_count(workers: int | None) -> int:
     if workers is not None:
         return max(1, workers)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    return max(1, int(env)) if env else 1
+    env = os.environ.get(WORKERS_ENV_VAR) or "1"
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _cell_path(cells_dir: Path, digest: str, i_snr: int, i_sigma: int, algo: str) -> Path:
@@ -307,11 +311,11 @@ def run_sweep(
     """
     constellation = _checked_constellation(config)
     digest = config_hash(config)
+    opt_params = _load_opt_params(config) if "bps_opt" in config.algorithms else None
+    n_workers = _worker_count(workers)
     out_dir = Path(output_dir)
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
-    opt_params = _load_opt_params(config) if "bps_opt" in config.algorithms else None
-    n_workers = _worker_count(workers)
 
     results: list[CellResult] = []
     wall_times: dict[str, float] = {}

@@ -23,15 +23,6 @@ _TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
-class LlrFrame:
-    """Per-symbol, per-bit LLRs with the convention L = log P(b=0)/P(b=1),
-    clamped symmetrically to +-clamp."""
-
-    llrs: np.ndarray
-    clamp: float
-
-
-@dataclass(frozen=True)
 class BmiReport:
     """BMI of one scored frame.
 
@@ -54,8 +45,9 @@ def llrs(
     constellation: Constellation,
     sigma_demap_sq: float,
     clamp: float = DEFAULT_CLAMP,
-) -> LlrFrame:
-    """Bit-level LLRs of a mismatched circular-Gaussian demapper.
+) -> np.ndarray:
+    """(K, m) bit-level LLRs of a mismatched circular-Gaussian demapper,
+    with the convention L = log P(b=0)/P(b=1).
 
     L_{k,b} = log [ sum_{x: bit_b(x)=0} P(x) e^{-|x_hat_k - x|^2 / sigma^2} ]
             - log [ sum_{x: bit_b(x)=1} P(x) e^{-|x_hat_k - x|^2 / sigma^2} ]
@@ -74,7 +66,7 @@ def llrs(
     for start in range(0, x_hat.size, DEMAP_CHUNK):
         stop = min(start + DEMAP_CHUNK, x_hat.size)
         out[start:stop] = AxisDemapper(x_hat[start:stop], axes).llrs(sigma_demap_sq, clamp).T
-    return LlrFrame(out, clamp)
+    return out
 
 
 class AxisDemapper:
@@ -225,16 +217,17 @@ def _class_selector(level_bits: np.ndarray) -> np.ndarray:
     return selector
 
 
-def bmi(bits, llr_frame: LlrFrame, constellation: Constellation) -> float:
+def bmi(bits, llrs: np.ndarray, constellation: Constellation) -> float:
     """Bit-wise mutual information in bits per symbol.
 
-    H(X) minus the per-bit binary cross entropies evaluated from the LLRs;
-    the raw (possibly negative) value is returned.
+    H(X) minus the per-bit binary cross entropies evaluated from the (K, m)
+    LLRs (as ``llrs`` returns them); the raw (possibly negative) value is
+    returned.
     """
     bits = np.asarray(bits)
-    if bits.shape != llr_frame.llrs.shape:
+    if bits.shape != llrs.shape:
         raise ValueError("bits and LLRs must have matching shapes")
-    penalty = softplus(-bit_signs(bits) * llr_frame.llrs).sum() / (bits.shape[0] * _LN2)
+    penalty = softplus(-bit_signs(bits) * llrs).sum() / (bits.shape[0] * _LN2)
     return entropy_bits(constellation.probs) - float(penalty)
 
 

@@ -10,10 +10,12 @@ from scipy.special import expit, logsumexp
 from wiener_cpe import (
     BpsOptParams,
     EstimatorConfig,
-    build_factor_tables,
+    FactorTables,
     build_qam,
     maxwell_boltzmann_shape,
     min_distance_table,
+    q_matrix,
+    r_table,
     shape_for_entropy,
 )
 from wiener_cpe.channel import ChannelTrace
@@ -41,6 +43,15 @@ def shaped_qam(order: int, lam_fraction: float) -> Constellation:
     if order not in _SHAPING_END:
         _SHAPING_END[order] = shape_for_entropy(base, 2.5)[1] if order > 4 else 1.0
     return maxwell_boltzmann_shape(base, lam_fraction * _SHAPING_END[order])
+
+
+def build_factor_tables(y, cfg: EstimatorConfig, constellation: Constellation) -> FactorTables:
+    """The log emission table and transition matrix ``map_bp_estimate``
+    decides on, built from ``y`` with ``cfg``'s grid and noise parameters."""
+    return FactorTables(
+        r_table=r_table(y, cfg.grid, constellation, cfg.sigma_n_sq),
+        q_matrix=q_matrix(cfg.grid, cfg.sigma_theta_sq, cfg.wrap_terms),
+    )
 
 
 def brute_force_map(y_window, cfg: EstimatorConfig, constellation: Constellation):

@@ -34,10 +34,11 @@ from wiener_cpe import (
     shape_for_entropy,
     transmit,
 )
+from wiener_cpe.estimators import _chain_log_marginals_windowed
 from wiener_cpe.numerics import wrap_sector
 from wiener_cpe.training import TrainSchedule, grad, loss, train
 
-from oracles import brute_force_map, softmin, weighted_window_sums
+from oracles import brute_force_map, build_factor_tables, softmin, weighted_window_sums
 
 pytestmark = pytest.mark.acceptance
 
@@ -145,11 +146,12 @@ def _heldout_median(shaped, algo, m_count, params=None, n_traces=11):
             sigma_theta_sq=1.18e-4,
         )
         if algo == "bps":
-            phi = bps_estimate(trace.rx_symbols, cfg, shaped)
+            phi = bps_estimate(min_distance_table(trace.rx_symbols, cfg.grid, shaped), cfg)
         elif algo == "map_bp":
-            phi = map_bp_estimate(trace.rx_symbols, cfg, shaped)
+            phi = map_bp_estimate(build_factor_tables(trace.rx_symbols, cfg, shaped), cfg)
         else:
-            phi = bps_opt_estimate(trace.rx_symbols, cfg, shaped, params)
+            d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped)
+            phi = bps_opt_estimate(d_table, cfg, params)
         corrected = postprocess(phi, trace.rx_symbols, trace.phase_path, 4)
         _, report = optimize_demapper_variance(corrected.x_hat, trace.bits, shaped)
         values.append(report.bmi_bits)
@@ -173,7 +175,9 @@ def test_criterion_01_bp_exactness(shaped):
         size = 2 * half_window + 1
         y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         _, marg_bf = brute_force_map(y, cfg, shaped)
-        est, logm = map_bp_estimate(y, cfg, shaped, return_marginals=True)
+        tables = build_factor_tables(y, cfg, shaped)
+        est = map_bp_estimate(tables, cfg)
+        logm = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half_window)
         center = np.exp(logm[half_window] - logsumexp(logm[half_window]))
         err = np.abs(center - marg_bf)
         scale = np.maximum(np.abs(marg_bf), np.abs(center))
@@ -221,10 +225,10 @@ def test_criterion_02_bps_recovery(shaped):
             sigma_theta_sq=1.18e-4,
         )
         d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped)
-        est_bps = bps_estimate(trace.rx_symbols, cfg, shaped, d_table=d_table)
+        est_bps = bps_estimate(d_table, cfg)
         for t in matching:
             opt = BpsOptParams.uniform(32, temperature=t)
-            est_opt = bps_opt_estimate(trace.rx_symbols, cfg, shaped, opt, d_table=d_table)
+            est_opt = bps_opt_estimate(d_table, cfg, opt)
             # phases are equal mod 2pi/n: -pi/n may read out as pi/n - delta
             agree = np.abs(wrap_sector(est_opt - est_bps, n)) < tolerance
             matching[t] += int(agree.sum())
@@ -426,16 +430,17 @@ def test_criterion_09_noiseless_sanity(shaped):
     )
     interior = slice(8, 512 - 8)
     ok = True
-    for name, fn in (("bps", bps_estimate), ("cpn", cpn_estimate), ("map_bp", map_bp_estimate)):
-        est = fn(trace.rx_symbols, cfg, shaped)
+    d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped)
+    tables = build_factor_tables(trace.rx_symbols, cfg, shaped)
+    for est in (
+        bps_estimate(d_table, cfg),
+        cpn_estimate(tables.r_table, cfg),
+        map_bp_estimate(tables, cfg),
+    ):
         ok &= bool(np.all(est[interior] == grid.phases[target_index]))
-    est_opt = bps_opt_estimate(
-        trace.rx_symbols, cfg, shaped, BpsOptParams.uniform(8, temperature=1e-6)
-    )
+    est_opt = bps_opt_estimate(d_table, cfg, BpsOptParams.uniform(8, temperature=1e-6))
     ok &= bool(np.all(np.abs(est_opt[interior] - grid.phases[target_index]) < 1e-6))
-    corrected = postprocess(
-        bps_estimate(trace.rx_symbols, cfg, shaped), trace.rx_symbols, trace.phase_path, 4
-    )
+    corrected = postprocess(bps_estimate(d_table, cfg), trace.rx_symbols, trace.phase_path, 4)
     _, report = optimize_demapper_variance(corrected.x_hat, trace.bits, shaped)
     bmi_ok = abs(report.bmi_bits - entropy_bits(shaped.probs)) < 1e-3
     _report(

@@ -16,7 +16,6 @@ from wiener_cpe import (
     FactorTables,
     bps_estimate,
     bps_opt_estimate,
-    build_factor_tables,
     build_qam,
     cpn_estimate,
     make_grid,
@@ -41,6 +40,7 @@ from wiener_cpe.numerics import wrap_sector
 from oracles import (
     assert_same_decisions,
     brute_force_map,
+    build_factor_tables,
     einsum_softmin_forward,
     full_log_marginals_logdomain,
     full_log_marginals_rows,
@@ -161,7 +161,7 @@ class TestBps:
         )
         trace = transmit(shaped64, params)
         cfg = _cfg(8, 15, sigma_n_sq=1e-4, sigma_theta_sq=0.0)
-        est = bps_estimate(trace.rx_symbols, cfg, shaped64)
+        est = bps_estimate(min_distance_table(trace.rx_symbols, cfg.grid, shaped64), cfg)
         interior = slice(8, 256 - 8)
         np.testing.assert_array_equal(est[interior], grid.phases[m_true])
 
@@ -175,7 +175,7 @@ class TestBps:
                 snr_db=math.inf, sigma_theta_sq=0.0, num_symbols=128, seed=2, phi0=phi_true
             )
             trace = transmit(shaped64, params)
-            est = bps_estimate(trace.rx_symbols, cfg, shaped64)
+            est = bps_estimate(min_distance_table(trace.rx_symbols, cfg.grid, shaped64), cfg)
             # nearest in the circular (sector-wrapped) metric
             nearest = grid.phases[np.argmin(np.abs(wrap_sector(grid.phases - phi_true, 4)))]
             interior = slice(8, 128 - 8)
@@ -185,13 +185,13 @@ class TestBps:
         grid = make_grid(8, 4)
         cfg = _cfg(0, 8, sigma_n_sq=1e-4, sigma_theta_sq=0.0)
         y = shaped64.points[:8] * np.exp(1j * grid.phases[5])
-        est = bps_estimate(y, cfg, shaped64)
+        est = bps_estimate(min_distance_table(y, cfg.grid, shaped64), cfg)
         np.testing.assert_array_equal(est, grid.phases[5])
 
     def test_rejects_short_sequences(self, shaped64):
         cfg = _cfg(4, 8)
         with pytest.raises(ValueError):
-            bps_estimate(np.ones(5, dtype=complex), cfg, shaped64)
+            bps_estimate(min_distance_table(np.ones(5, dtype=complex), cfg.grid, shaped64), cfg)
 
 
 class TestWindowedSum:
@@ -213,8 +213,8 @@ class TestCpn:
         trace = transmit(qam64, params)
         cfg = _cfg(16, 15, sigma_n_sq=trace.sigma_n_sq, sigma_theta_sq=1e-5)
         agree = np.mean(
-            bps_estimate(trace.rx_symbols, cfg, qam64)
-            == cpn_estimate(trace.rx_symbols, cfg, qam64)
+            bps_estimate(min_distance_table(trace.rx_symbols, cfg.grid, qam64), cfg)
+            == cpn_estimate(r_table(trace.rx_symbols, cfg.grid, qam64, cfg.sigma_n_sq), cfg)
         )
         assert agree >= 0.99
 
@@ -223,8 +223,8 @@ class TestCpn:
         trace = transmit(shaped64, params)
         cfg = _cfg(8, 15, sigma_n_sq=trace.sigma_n_sq, sigma_theta_sq=1e-3)
         disagree = np.mean(
-            bps_estimate(trace.rx_symbols, cfg, shaped64)
-            != cpn_estimate(trace.rx_symbols, cfg, shaped64)
+            bps_estimate(min_distance_table(trace.rx_symbols, cfg.grid, shaped64), cfg)
+            != cpn_estimate(r_table(trace.rx_symbols, cfg.grid, shaped64, cfg.sigma_n_sq), cfg)
         )
         assert disagree > 0.0
 
@@ -235,7 +235,7 @@ class TestCpn:
         )
         trace = transmit(shaped64, params)
         cfg = _cfg(8, 15, sigma_n_sq=1e-4, sigma_theta_sq=0.0)
-        est = cpn_estimate(trace.rx_symbols, cfg, shaped64)
+        est = cpn_estimate(r_table(trace.rx_symbols, cfg.grid, shaped64, cfg.sigma_n_sq), cfg)
         np.testing.assert_array_equal(est[8:-8], grid.phases[11])
 
 
@@ -244,7 +244,9 @@ class TestMapBp:
         rng = np.random.default_rng(6)
         cfg = _cfg(1, 4, sigma_n_sq=0.05, sigma_theta_sq=1e-3)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        est, logm = map_bp_estimate(y, cfg, shaped64, return_marginals=True)
+        tables = build_factor_tables(y, cfg, shaped64)
+        est = map_bp_estimate(tables, cfg)
+        logm = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, 1)
         phase_bf, marg_bf = brute_force_map(y, cfg, shaped64)
         center = np.exp(logm[1] - logsumexp(logm[1]))
         np.testing.assert_allclose(center, marg_bf, rtol=1e-9, atol=1e-250)
@@ -254,7 +256,7 @@ class TestMapBp:
         rng = np.random.default_rng(7)
         y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         cfg = _cfg(8, 8, sigma_n_sq=0.1, sigma_theta_sq=100.0)
-        est = map_bp_estimate(y, cfg, shaped64)
+        est = map_bp_estimate(build_factor_tables(y, cfg, shaped64), cfg)
         table = r_table(y, cfg.grid, shaped64, 0.1)
         np.testing.assert_array_equal(est, cfg.grid.phases[np.argmax(table, axis=1)])
 
@@ -263,8 +265,8 @@ class TestMapBp:
         trace = transmit(shaped64, params)
         cfg = _cfg(8, 15, sigma_n_sq=trace.sigma_n_sq, sigma_theta_sq=1e-10)
         np.testing.assert_array_equal(
-            map_bp_estimate(trace.rx_symbols, cfg, shaped64),
-            cpn_estimate(trace.rx_symbols, cfg, shaped64),
+            map_bp_estimate(build_factor_tables(trace.rx_symbols, cfg, shaped64), cfg),
+            cpn_estimate(r_table(trace.rx_symbols, cfg.grid, shaped64, cfg.sigma_n_sq), cfg),
         )
 
     def test_full_sequence_agrees_when_window_covers_everything(self, shaped64):
@@ -290,7 +292,7 @@ class TestMapBp:
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         cfg_full = _cfg(2, 5, sigma_n_sq=0.05, full_sequence_bp=True)
         tables = build_factor_tables(y, cfg_full, shaped64)
-        est = map_bp_estimate(y, cfg_full, shaped64)
+        est = map_bp_estimate(tables, cfg_full)
         expected = cfg_full.grid.phases[
             np.argmax(_chain_log_marginals_full(tables.r_table, tables.q_matrix), axis=1)
         ]
@@ -424,7 +426,7 @@ class TestBlockedBp:
         cfg = _cfg(3, m_count, sigma_theta_sq=0.0)
         tables = FactorTables(log_r, log_q)
         with pytest.raises(FloatingPointError, match=f" {dead} of {size} rows"):
-            map_bp_estimate(np.zeros(size, dtype=complex), cfg, qpsk, tables=tables)
+            map_bp_estimate(tables, cfg)
 
     def test_distance_tables_do_not_depend_on_chunk_budget(self, shaped64, monkeypatch):
         params = ChannelParams(snr_db=20.0, sigma_theta_sq=1.18e-4, num_symbols=301, seed=24)
@@ -687,17 +689,9 @@ class TestAxisTables:
         d_want, r_want = _xwide_tables(y, cfg.grid, shaped64, cfg.sigma_n_sq)
         log_q = q_matrix(cfg.grid, cfg.sigma_theta_sq, cfg.wrap_terms)
         got, want = FactorTables(log_r, log_q), FactorTables(r_want, log_q)
-        np.testing.assert_array_equal(
-            bps_estimate(y, cfg, shaped64, d_table=d_min),
-            bps_estimate(y, cfg, shaped64, d_table=d_want),
-        )
-        np.testing.assert_array_equal(
-            cpn_estimate(y, cfg, shaped64, tables=got), cpn_estimate(y, cfg, shaped64, tables=want)
-        )
-        np.testing.assert_array_equal(
-            map_bp_estimate(y, cfg, shaped64, tables=got),
-            map_bp_estimate(y, cfg, shaped64, tables=want),
-        )
+        np.testing.assert_array_equal(bps_estimate(d_min, cfg), bps_estimate(d_want, cfg))
+        np.testing.assert_array_equal(cpn_estimate(log_r, cfg), cpn_estimate(r_want, cfg))
+        np.testing.assert_array_equal(map_bp_estimate(got, cfg), map_bp_estimate(want, cfg))
 
     def test_rotated_constellation_rejected(self):
         # QPSK rotated onto the axes has three levels per axis, no product grid
@@ -735,7 +729,8 @@ class TestBruteForce:
         cfg = _cfg(2, 4, sigma_n_sq=0.03, sigma_theta_sq=5e-4)
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         _, marg_bf = brute_force_map(y, cfg, shaped64)
-        _, logm = map_bp_estimate(y, cfg, shaped64, return_marginals=True)
+        tables = build_factor_tables(y, cfg, shaped64)
+        logm = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, 2)
         center = np.exp(logm[2] - logsumexp(logm[2]))
         np.testing.assert_allclose(center, marg_bf, rtol=1e-9, atol=1e-250)
 
@@ -839,7 +834,7 @@ class TestPhaseMajorWindow:
             BpsOptParams.uniform(32),
             BpsOptParams.from_raw(rng.normal(0.0, 0.5, 65), math.log(0.05)),
         ):
-            got = bps_opt_estimate(trace.rx_symbols, cfg, shaped64, opt, d_table=d_table)
+            got = bps_opt_estimate(d_table, cfg, opt)
             want = einsum_softmin_forward(d_table, cfg.grid, opt)[-1]
             assert np.abs(wrap_sector(got - want, 4)).max() <= 1e-12
 
@@ -851,8 +846,9 @@ class TestBpsOpt:
         cfg = _cfg(16, 15, sigma_n_sq=trace.sigma_n_sq)
         temperature, tolerance = 1e-6, 1e-6
         opt = BpsOptParams.uniform(16, temperature=temperature)
-        est_opt = bps_opt_estimate(trace.rx_symbols, cfg, shaped64, opt)
-        est_bps = bps_estimate(trace.rx_symbols, cfg, shaped64)
+        d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped64)
+        est_opt = bps_opt_estimate(d_table, cfg, opt)
+        est_bps = bps_estimate(d_table, cfg)
         # agreement mod 2pi/4 is guaranteed outside the softmin tie band
         # g < g* = t ln((M-1)(1 + 2 sin(4 eps)) / sin(4 eps)), derived at
         # acceptance criterion 2; inside it a near-tie may blend grid phases
@@ -870,7 +866,7 @@ class TestBpsOpt:
         cfg = _cfg(0, 8, sigma_n_sq=1e-4, sigma_theta_sq=0.0)
         y = shaped64.points[:20] * np.exp(1j * grid.phases[3])
         opt = BpsOptParams.uniform(0, temperature=1e-9)
-        est = bps_opt_estimate(y, cfg, shaped64, opt)
+        est = bps_opt_estimate(min_distance_table(y, cfg.grid, shaped64), cfg, opt)
         np.testing.assert_allclose(est, grid.phases[3], atol=1e-9)
 
     def test_symmetric_collapse_falls_back_to_argmin(self, qpsk):
@@ -879,7 +875,7 @@ class TestBpsOpt:
         cfg = _cfg(1, 8, sigma_n_sq=0.1, sigma_theta_sq=1e-4)
         y = np.zeros(5, dtype=complex)
         opt = BpsOptParams.uniform(1, temperature=1e6)
-        est = bps_opt_estimate(y, cfg, qpsk, opt)
+        est = bps_opt_estimate(min_distance_table(y, cfg.grid, qpsk), cfg, opt)
         assert np.all(np.isfinite(est))
         assert np.all(np.isin(est, cfg.grid.phases))
 
@@ -890,14 +886,15 @@ class TestBpsOpt:
         cfg = _cfg(2, 8, sigma_n_sq=0.05)
         opt = BpsOptParams.uniform(2, temperature=0.05)
         d = min_distance_table(y, cfg.grid, shaped64)
-        est1 = bps_opt_estimate(y, cfg, shaped64, opt, d_table=d)
-        est2 = bps_opt_estimate(y, cfg, shaped64, opt, d_table=d + 7.3)
+        est1 = bps_opt_estimate(d, cfg, opt)
+        est2 = bps_opt_estimate(d + 7.3, cfg, opt)
         np.testing.assert_allclose(est1, est2, atol=1e-12)
 
     def test_weights_length_validated(self, shaped64):
         cfg = _cfg(4, 8)
         with pytest.raises(ValueError):
-            bps_opt_estimate(np.ones(16, dtype=complex), cfg, shaped64, BpsOptParams.uniform(3))
+            d_table = min_distance_table(np.ones(16, dtype=complex), cfg.grid, shaped64)
+            bps_opt_estimate(d_table, cfg, BpsOptParams.uniform(3))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -928,15 +925,22 @@ class TestSharedProperties:
         # phases[shift] + pi/4 is exactly (shift) steps above phases[0] = -pi/4,
         # i.e. a rotation by "shift" grid steps relative to phase 0
         interior = slice(6, 256 - 6)
-        for estimator in (bps_estimate, cpn_estimate, map_bp_estimate):
-            base = estimator(trace.rx_symbols, cfg, shaped64)
-            moved = estimator(rotated, cfg, shaped64)
+
+        def decisions(y):
+            tables = build_factor_tables(y, cfg, shaped64)
+            return (
+                bps_estimate(min_distance_table(y, grid, shaped64), cfg),
+                cpn_estimate(tables.r_table, cfg),
+                map_bp_estimate(tables, cfg),
+            )
+
+        for base, moved in zip(decisions(trace.rx_symbols), decisions(rotated)):
             idx_base = np.searchsorted(grid.phases, base[interior])
             idx_moved = np.searchsorted(grid.phases, moved[interior])
             np.testing.assert_array_equal((idx_base + shift) % 12, idx_moved)
         opt = BpsOptParams.uniform(6, temperature=1e-6)
-        base = bps_opt_estimate(trace.rx_symbols, cfg, shaped64, opt)
-        moved = bps_opt_estimate(rotated, cfg, shaped64, opt)
+        base = bps_opt_estimate(min_distance_table(trace.rx_symbols, cfg.grid, shaped64), cfg, opt)
+        moved = bps_opt_estimate(min_distance_table(rotated, cfg.grid, shaped64), cfg, opt)
         circular_err = np.abs(wrap_sector(moved[interior] - base[interior] - shift * step, 4))
         assert circular_err.max() < 1e-6
 
@@ -945,11 +949,13 @@ class TestSharedProperties:
         trace = transmit(shaped64, params)
         cfg = _cfg(4, 8, sigma_n_sq=trace.sigma_n_sq)
         opt = BpsOptParams.uniform(4, temperature=0.1)
+        d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped64)
+        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
         for call in (
-            lambda: bps_estimate(trace.rx_symbols, cfg, shaped64),
-            lambda: cpn_estimate(trace.rx_symbols, cfg, shaped64),
-            lambda: map_bp_estimate(trace.rx_symbols, cfg, shaped64),
-            lambda: bps_opt_estimate(trace.rx_symbols, cfg, shaped64, opt),
+            lambda: bps_estimate(d_table, cfg),
+            lambda: cpn_estimate(tables.r_table, cfg),
+            lambda: map_bp_estimate(tables, cfg),
+            lambda: bps_opt_estimate(d_table, cfg, opt),
         ):
             np.testing.assert_array_equal(call(), call())
 
@@ -966,7 +972,9 @@ class TestSharedProperties:
             size = 2 * half_window + 1
             y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             _, marg_bf = brute_force_map(y, cfg, shaped64)
-            est, logm = map_bp_estimate(y, cfg, shaped64, return_marginals=True)
+            tables = build_factor_tables(y, cfg, shaped64)
+            est = map_bp_estimate(tables, cfg)
+            logm = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half_window)
             center = np.exp(logm[half_window] - logsumexp(logm[half_window]))
             np.testing.assert_allclose(center, marg_bf, rtol=1e-9, atol=1e-250)
             top_two = np.sort(marg_bf)[-2:]

@@ -18,7 +18,7 @@ from wiener_cpe import (
     run_sweep,
     run_train,
 )
-from wiener_cpe.experiments import aggregate_cell, config_hash
+from wiener_cpe.experiments import WORKERS_ENV_VAR, aggregate_cell, config_hash
 from wiener_cpe.training import TrainSchedule, save_params
 
 
@@ -445,6 +445,32 @@ class TestCli:
         )
         assert out.returncode == 1, out.stderr
         assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_non_integer_workers_env_exits_1_before_writing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "two")
+        out = self._run(
+            "sweep", "--order", "16", "--snr-db", "15", "--sigma-theta-sq", "1e-4",
+            "--half-window", "2", "--test-phases", "8", "--symbols", "64",
+            "--realizations", "1", "--out", str(tmp_path / "out"),
+        )
+        assert out.returncode == 1, out.stderr
+        assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [("snr_db", 20), ("algorithms", "bps")])
+    def test_scalar_config_list_exits_1_before_writing(self, tmp_path, field, value):
+        config = dict(
+            order=16, snr_db=[15.0], sigma_theta_sq=[1e-4], algorithms=["bps"], half_window=2,
+            num_test_phases=8, realizations=1, num_symbols=64,
+        )
+        config[field] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = self._run("sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+        assert out.returncode == 1, out.stderr
+        assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert f"{field} must be a list" in out.stderr
         assert not (tmp_path / "out").exists()
 
     def test_eval_scores_bps_and_bps_opt_only(self, tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from wiener_cpe import (
     ChannelParams,
     Constellation,
-    LlrFrame,
     bmi,
     build_qam,
     llrs,
@@ -99,7 +98,7 @@ def _oracle_score(x_hat, bits, constellation, clamp=DEFAULT_CLAMP):
 
     def score(log_sigma_sq):
         raw = _llrs_from_d2(d2, constellation, math.exp(log_sigma_sq))
-        return bmi(bits, LlrFrame(np.clip(raw, -clamp, clamp), clamp), constellation)
+        return bmi(bits, np.clip(raw, -clamp, clamp), constellation)
 
     return score
 
@@ -109,11 +108,11 @@ class TestLlrs:
         frame = llrs(shaped64.points, shaped64, sigma_demap_sq=1e-4)
         # L = log(P0/P1): positive iff the point's bit is 0
         signs = np.where(shaped64.bit_labels == 0, 1.0, -1.0)
-        assert np.all(np.sign(frame.llrs) == signs)
+        assert np.all(np.sign(frame) == signs)
 
     def test_origin_gives_zero_llrs_uniform_qpsk(self, qpsk):
         frame = llrs(np.zeros(3, dtype=complex), qpsk, sigma_demap_sq=0.5)
-        np.testing.assert_array_equal(frame.llrs, 0.0)
+        np.testing.assert_array_equal(frame, 0.0)
 
     def test_matches_extended_precision_oracle(self, shaped64):
         rng = np.random.default_rng(31)
@@ -134,7 +133,7 @@ class TestLlrs:
                     else:
                         den += term
                 expected = float(mpmath.log(num / den))
-                assert abs(frame.llrs[k, b] - expected) <= 1e-10 * max(1.0, abs(expected))
+                assert abs(frame[k, b] - expected) <= 1e-10 * max(1.0, abs(expected))
 
     def test_decision_boundary_rows_match_extended_precision(self):
         # At sigma^2 = 1e-6 only rows within about 1e-5 of a decision
@@ -164,12 +163,12 @@ class TestLlrs:
                 expected = float(mpmath.log(sums[0] / sums[1]))
                 if abs(expected) < DEFAULT_CLAMP:
                     checked += 1
-                    assert abs(frame.llrs[k, b] - expected) <= 1e-9
+                    assert abs(frame[k, b] - expected) <= 1e-9
         assert checked >= 4  # one boundary bit per row at least
 
     def test_clamp_applied(self, shaped64):
         frame = llrs(shaped64.points, shaped64, sigma_demap_sq=1e-6, clamp=50.0)
-        assert np.max(np.abs(frame.llrs)) <= 50.0
+        assert np.max(np.abs(frame)) <= 50.0
 
     def test_rejects_bad_variance(self, qpsk):
         with pytest.raises(ValueError):
@@ -195,7 +194,7 @@ class TestSeparableKernel:
         # rows beyond the outermost levels, whose LLRs sit past the clamp
         far = rng.uniform(-3.0, 3.0, 16) + 1j * rng.uniform(-3.0, 3.0, 16)
         x_hat = np.concatenate([near, far])
-        got = llrs(x_hat, constellation, sigma_sq).llrs
+        got = llrs(x_hat, constellation, sigma_sq)
         want = np.clip(
             _llrs_from_d2(_demapper_d2(x_hat, constellation), constellation, sigma_sq),
             -DEFAULT_CLAMP,
@@ -362,7 +361,7 @@ class TestBmi:
 
     def test_zero_llrs_lose_one_bit_per_level(self, shaped64):
         bits, _ = _sample_frame(shaped64, 256, seed=33)
-        frame = LlrFrame(np.zeros((256, 6)), clamp=50.0)
+        frame = np.zeros((256, 6))
         value = bmi(bits, frame, shaped64)
         assert value == pytest.approx(entropy_bits(shaped64.probs) - 6.0, abs=1e-12)
 
@@ -392,7 +391,7 @@ class TestBmi:
         bits_flipped[:, 2] ^= 1
         frame = llrs(x_hat, shaped64, sigma_demap_sq=0.1)
         frame_flipped = llrs(x_hat, flipped, sigma_demap_sq=0.1)
-        np.testing.assert_allclose(frame_flipped.llrs[:, 2], -frame.llrs[:, 2], atol=1e-12)
+        np.testing.assert_allclose(frame_flipped[:, 2], -frame[:, 2], atol=1e-12)
         assert bmi(bits, frame, shaped64) == pytest.approx(
             bmi(bits_flipped, frame_flipped, flipped), abs=1e-12
         )

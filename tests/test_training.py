@@ -17,7 +17,7 @@ from wiener_cpe import (
     train,
     transmit,
 )
-from wiener_cpe import bps_opt_estimate, metrics, training
+from wiener_cpe import bps_opt_estimate, metrics, min_distance_table, training
 from wiener_cpe.metrics import DEFAULT_CLAMP, DEMAP_CHUNK, AxisDemapper
 from wiener_cpe.training import (
     AdamState,
@@ -164,7 +164,8 @@ class TestPhaseMajorPass:
         params = BpsOptParams.from_raw(np.random.default_rng(28).normal(0, 0.5, 33), -2.5)
         grad(params, trace, cfg, shaped64)
         assert len(passes) == 1
-        want = bps_opt_estimate(trace.rx_symbols, cfg, shaped64, params)
+        d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped64)
+        want = bps_opt_estimate(d_table, cfg, params)
         np.testing.assert_array_equal(passes[0].estimates, want)
 
     @pytest.mark.parametrize("raw_temp", [math.log(0.1), math.log(0.01)])
