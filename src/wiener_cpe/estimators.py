@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .constellation import Constellation
-from .numerics import softmax, wrap_sector
+from .numerics import logsumexp, softmax, wrap_sector
 
 _TABLE_CHUNK_BYTES = 2**16
 _BP_BLOCK_ROWS = 1024
@@ -70,8 +69,7 @@ class EstimatorConfig:
     noise parameters assumed by the estimator, which may differ from the
     channel truth; ``sigma_n_sq`` is the per-component (real/imag) noise
     variance, so the emission kernel exp(-d^2/(2 sigma_n_sq)) is matched to
-    a circular Gaussian of total variance 2 sigma_n_sq. ``wrap_terms``
-    truncates the wrapped-normal transition kernel; ``full_sequence_bp``
+    a circular Gaussian of total variance 2 sigma_n_sq. ``full_sequence_bp``
     switches the BP estimator to one forward/backward pass over the whole
     sequence instead of per-symbol windows.
     """
@@ -80,7 +78,6 @@ class EstimatorConfig:
     grid: PhaseGrid
     sigma_n_sq: float
     sigma_theta_sq: float
-    wrap_terms: int = 3
     full_sequence_bp: bool = False
 
     def __post_init__(self):
@@ -90,8 +87,6 @@ class EstimatorConfig:
             raise ValueError("sigma_n_sq must be positive")
         if self.sigma_theta_sq < 0:
             raise ValueError("sigma_theta_sq must be nonnegative")
-        if self.wrap_terms < 1:
-            raise ValueError("wrap_terms must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -220,7 +220,6 @@ def _cell_setup(
         grid=make_grid(config.num_test_phases, constellation.sym_order),
         sigma_n_sq=max(snr_to_noise_var(snr_db, constellation) / 2.0, 1e-12),
         sigma_theta_sq=sigma_theta_sq,
-        wrap_terms=config.r_max,
         full_sequence_bp=config.full_sequence_bp,
     )
     return channel, cfg
@@ -238,6 +237,8 @@ def _checked_constellation(config: ExperimentConfig) -> Constellation:
         raise ConfigError(str(exc)) from exc
     if config.num_symbols < 2 * config.half_window + 1:
         raise ConfigError("num_symbols must be at least the window length 2 * half_window + 1")
+    if config.r_max < 1:
+        raise ConfigError("r_max must be at least 1")
     return constellation
 
 
@@ -255,7 +256,7 @@ def _evaluate_realization(args):
     )
     tables = None
     if want_log_r:
-        tables = FactorTables(log_r, q_matrix(cfg.grid, cfg.sigma_theta_sq, cfg.wrap_terms))
+        tables = FactorTables(log_r, q_matrix(cfg.grid, cfg.sigma_theta_sq, config.r_max))
     shared_s = time.perf_counter() - started
 
     out = {}
@@ -545,6 +546,8 @@ def run_train(
     channel, cfg = _cell_setup(
         config, constellation, config.snr_db[0], config.sigma_theta_sq[0], config.seed
     )
+    # a bad worker count must fail before anything is trained or written
+    workers = _worker_count(None) if heldout_realizations > 0 else None
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = train(schedule, channel, cfg, constellation, loss_kind=loss_kind)
@@ -557,6 +560,7 @@ def run_train(
             replace(config, realizations=heldout_realizations),
             out_dir / "params.json",
             out_dir / "heldout",
+            workers=workers,
         )
     return report
 

@@ -1,4 +1,5 @@
-"""Small shared numeric helpers (stable softmax, sector wrapping)."""
+"""Small shared numeric helpers (stable softmax and log-sum-exp, sector
+wrapping)."""
 
 from __future__ import annotations
 
@@ -11,6 +12,23 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(z, out=z)
     z /= np.sum(z, axis=axis, keepdims=True)
     return z
+
+
+def logsumexp(a: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis`` of a finite array.
+
+    The entries equal to the peak are split out of the sum, as
+    scipy.special.logsumexp (1.17) does, so the result is bit-identical to
+    scipy's: log1p(rest / count) + log(count) + peak.
+    """
+    peak = np.max(a, axis=axis, keepdims=True)
+    at_peak = a == peak
+    count = np.sum(at_peak, axis=axis, keepdims=True, dtype=np.float64)
+    terms = np.exp(a - peak)
+    terms[at_peak] = 0.0
+    rest = np.sum(terms, axis=axis, keepdims=True)
+    out = np.log1p(rest / count) + np.log(count) + peak
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 def wrap_sector(phi, sym_order: int):

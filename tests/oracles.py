@@ -20,6 +20,7 @@ from wiener_cpe import (
 )
 from wiener_cpe.channel import ChannelTrace
 from wiener_cpe.constellation import Constellation, entropy_bits
+from wiener_cpe.estimators import _DEGENERATE_Q_FLOOR, PhaseGrid
 from wiener_cpe.metrics import (
     DEFAULT_CLAMP,
     DEMAP_CHUNK,
@@ -50,8 +51,22 @@ def build_factor_tables(y, cfg: EstimatorConfig, constellation: Constellation) -
     decides on, built from ``y`` with ``cfg``'s grid and noise parameters."""
     return FactorTables(
         r_table=r_table(y, cfg.grid, constellation, cfg.sigma_n_sq),
-        q_matrix=q_matrix(cfg.grid, cfg.sigma_theta_sq, cfg.wrap_terms),
+        q_matrix=q_matrix(cfg.grid, cfg.sigma_theta_sq),
     )
+
+
+def scipy_q_matrix(grid: PhaseGrid, sigma_theta_sq: float, r_max: int = 3) -> np.ndarray:
+    """``q_matrix`` computed with scipy.special.logsumexp, the expression
+    the package used before it carried its own logsumexp."""
+    var = max(sigma_theta_sq, _DEGENERATE_Q_FLOOR)
+    n = grid.sym_order
+    period = 2.0 * np.pi / n
+    r_eff = max(r_max, int(math.ceil(5.0 * math.sqrt(var) * n / (2.0 * np.pi))))
+    shifts = period * np.arange(-r_eff, r_eff + 1)
+    diff = grid.phases[:, None] - grid.phases[None, :]
+    log_terms = -((diff[:, :, None] + shifts[None, None, :]) ** 2) / (2.0 * var)
+    logq = logsumexp(log_terms, axis=2)
+    return logq - logsumexp(logq, axis=1, keepdims=True)
 
 
 def brute_force_map(y_window, cfg: EstimatorConfig, constellation: Constellation):

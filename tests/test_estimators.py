@@ -35,7 +35,7 @@ from wiener_cpe.estimators import (
     window_sums,
     window_sums_weight_grad,
 )
-from wiener_cpe.numerics import wrap_sector
+from wiener_cpe.numerics import logsumexp as numpy_logsumexp, wrap_sector
 
 from oracles import (
     assert_same_decisions,
@@ -46,6 +46,7 @@ from oracles import (
     full_log_marginals_rows,
     gather_windowed_sum,
     row_loop_messages,
+    scipy_q_matrix,
     shaped_qam,
     softmin,
     weighted_window_sums,
@@ -117,7 +118,34 @@ class TestRTable:
             r_table(np.array([1.0 + 0j]), make_grid(4, 4), qpsk, sigma_n_sq=0.0)
 
 
+class TestLogsumexp:
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_bit_identical_to_scipy(self, axis, keepdims):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((9, 8, 7)) * 40.0
+        # coarse values tie often, and each row along axis 0 has a tied peak
+        a[:, :4] = np.round(a[:, :4] / 8.0) * 8.0
+        a[1:3] = a.max() + 1.0
+        want = logsumexp(a, axis=axis, keepdims=keepdims)
+        got = numpy_logsumexp(a, axis=axis, keepdims=keepdims)
+        ties = np.sum(a == np.max(a, axis=axis, keepdims=True), axis=axis)
+        assert np.any(ties > 1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestQMatrix:
+    @pytest.mark.parametrize("m_count", [2, 3, 8, 15, 16, 60, 64, 128])
+    def test_bit_identical_to_scipy_oracle(self, m_count):
+        for sym_order in (1, 4):
+            grid = make_grid(m_count, sym_order)
+            for sigma_theta_sq in (0.0, 1e-5, 1.18e-4, 1e-3, 0.1, 1.0):
+                for r_max in (1, 3):
+                    got = q_matrix(grid, sigma_theta_sq, r_max)
+                    want = scipy_q_matrix(grid, sigma_theta_sq, r_max)
+                    assert got.tobytes() == want.tobytes(), (sym_order, sigma_theta_sq, r_max)
+
     @pytest.mark.parametrize("sigma_theta_sq", [0.0, 1e-5, 1.18e-4, 1e-3, 1e-1, 10.0])
     def test_rows_sum_to_one(self, sigma_theta_sq):
         logq = q_matrix(make_grid(60, 4), sigma_theta_sq)
@@ -687,7 +715,7 @@ class TestAxisTables:
         y = trace.rx_symbols
         d_min, log_r = _distance_tables(y, cfg.grid, shaped64, cfg.sigma_n_sq, True, True)
         d_want, r_want = _xwide_tables(y, cfg.grid, shaped64, cfg.sigma_n_sq)
-        log_q = q_matrix(cfg.grid, cfg.sigma_theta_sq, cfg.wrap_terms)
+        log_q = q_matrix(cfg.grid, cfg.sigma_theta_sq)
         got, want = FactorTables(log_r, log_q), FactorTables(r_want, log_q)
         np.testing.assert_array_equal(bps_estimate(d_min, cfg), bps_estimate(d_want, cfg))
         np.testing.assert_array_equal(cpn_estimate(log_r, cfg), cpn_estimate(r_want, cfg))
@@ -713,7 +741,7 @@ class TestBruteForce:
 
         # hand computation: explicit loops over the 2^3 phase tuples
         r_lin = np.exp(r_table(y, cfg.grid, qpsk, 0.5))
-        q_lin = np.exp(q_matrix(cfg.grid, 0.01, cfg.wrap_terms))
+        q_lin = np.exp(q_matrix(cfg.grid, 0.01))
         expected = np.zeros(2)
         for a in range(2):
             for c in range(2):

@@ -417,6 +417,7 @@ class TestCli:
             ("--symbols", "5", "--half-window", "4"),
             ("--sigma-theta-sq", "1e-4", "-1e-4"),
             ("--realizations", "0"),
+            ("--r-max", "0"),
         ],
     )
     def test_invalid_values_exit_1_before_writing(self, tmp_path, flags):
@@ -447,12 +448,26 @@ class TestCli:
         assert "config error" in out.stderr and "Traceback" not in out.stderr
         assert not (tmp_path / "out").exists()
 
-    def test_non_integer_workers_env_exits_1_before_writing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(("sweep",), id="sweep"),
+            pytest.param(
+                (
+                    "train", "--heldout-realizations", "1", "--epochs", "1",
+                    "--batches-start", "1", "--batches-end", "1",
+                    "--batch-symbols-start", "256", "--batch-symbols-end", "256",
+                ),
+                id="train",
+            ),
+        ],
+    )
+    def test_non_integer_workers_env_exits_1_before_writing(self, tmp_path, monkeypatch, command):
         monkeypatch.setenv(WORKERS_ENV_VAR, "two")
         out = self._run(
-            "sweep", "--order", "16", "--snr-db", "15", "--sigma-theta-sq", "1e-4",
+            command[0], "--order", "16", "--snr-db", "15", "--sigma-theta-sq", "1e-4",
             "--half-window", "2", "--test-phases", "8", "--symbols", "64",
-            "--realizations", "1", "--out", str(tmp_path / "out"),
+            "--realizations", "1", *command[1:], "--out", str(tmp_path / "out"),
         )
         assert out.returncode == 1, out.stderr
         assert "config error" in out.stderr and "Traceback" not in out.stderr
@@ -509,3 +524,38 @@ class TestCli:
         )
         assert eval_out.returncode == 0, eval_out.stderr
         assert (tmp_path / "eval" / "results.csv").exists()
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from dataclasses import replace
+
+from wiener_cpe import ExperimentConfig, run_sweep, run_train
+from wiener_cpe.training import TrainSchedule
+
+out = sys.argv[1]
+config = ExperimentConfig(
+    order=16, target_entropy=3.5, snr_db=(15.0,), sigma_theta_sq=(1e-4,),
+    algorithms=("bps", "cpn", "map_bp", "bps_opt"), half_window=2, num_test_phases=8,
+    realizations=1, num_symbols=256, seed=5,
+)
+run_sweep(config, out + "/windowed", workers=1)
+run_sweep(replace(config, full_sequence_bp=True), out + "/full", workers=1)
+schedule = TrainSchedule(
+    epochs=1, batches_start=1, batches_end=1, batch_symbols_start=256,
+    batch_symbols_end=256, seed=3,
+)
+run_train(config, schedule, out + "/model", heldout_realizations=1)
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_package_runs_without_scipy(tmp_path, monkeypatch):
+    # a fresh interpreter, so that no test's own scipy import is counted
+    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "model" / "heldout" / "results.csv").exists()
