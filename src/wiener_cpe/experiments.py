@@ -13,7 +13,8 @@ Outputs of a sweep (all deterministic for a fixed config):
   postprocessing and demapper search, and per (snr, sigma_theta_sq) the
   seconds of the shared distance tables and transition matrix, each summed
   over realizations (times are intentionally kept out of the CSVs so those
-  stay byte-identical).
+  stay byte-identical), the worker count and ``bp_threads``, the threads
+  each windowed BP frame ran on (0 if the sweep ran none).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .estimators import (
     EstimatorConfig,
     FactorTables,
     _distance_tables,
+    bp_threads,
     bps_estimate,
     bps_opt_estimate,
     cpn_estimate,
@@ -340,6 +342,7 @@ def run_sweep(
 
     _write_results_csv(out_dir / "results.csv", results, config, digest)
     _write_realizations_csv(out_dir / "realizations.csv", results, config)
+    windowed_bp = "map_bp" in config.algorithms and not config.full_sequence_bp
     meta = {
         "config": asdict(config),
         "config_hash": digest,
@@ -347,6 +350,9 @@ def run_sweep(
         "wall_times_s": wall_times,
         "shared_tables_s": shared_times,
         "workers": n_workers,
+        "bp_threads": (
+            bp_threads(config.num_symbols, config.num_test_phases) if windowed_bp else 0
+        ),
     }
     with open(out_dir / "run_meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)

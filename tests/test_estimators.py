@@ -1,6 +1,8 @@
 """Phase estimators, factor tables, and the brute-force marginal oracle."""
 
+import itertools
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -455,6 +457,103 @@ class TestBlockedBp:
         tables = FactorTables(log_r, log_q)
         with pytest.raises(FloatingPointError, match=f" {dead} of {size} rows"):
             map_bp_estimate(tables, cfg)
+
+    @staticmethod
+    def _usable_cores(monkeypatch, cores):
+        # `cores` CPUs in the process's affinity, one BLAS thread per product,
+        # and threads at every grid size
+        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(estimators, "_BP_THREAD_MIN_PHASES", 2)
+
+    _ROWS = estimators._BP_BLOCK_ROWS
+
+    @pytest.mark.parametrize(
+        "m_count, snr_db, sigma_theta_sq, size, half",
+        [
+            (15, 20.0, 1.18e-4, 2 * _ROWS + _ROWS // 2 + 37, 8),  # three blocks, the last ragged
+            (60, 20.0, 1.18e-4, 2 * _ROWS + _ROWS // 2 + 37, 8),
+            (15, 20.0, 1.18e-4, 3000, 1100),  # N > _BP_BLOCK_ROWS
+            (60, 20.0, 1.18e-4, 3000, 1100),
+            (60, 24.0, 1e-5, 3 * _ROWS + 37, 32),
+        ],
+    )
+    def test_threads_match_one_thread_bit_for_bit(
+        self, shaped64, monkeypatch, m_count, snr_db, sigma_theta_sq, size, half
+    ):
+        assert size >= 2 * estimators._BP_BLOCK_ROWS
+        params = ChannelParams(
+            snr_db=snr_db, sigma_theta_sq=sigma_theta_sq, num_symbols=size, seed=35
+        )
+        trace = transmit(shaped64, params)
+        cfg = _cfg(half, m_count, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=sigma_theta_sq)
+        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        blocks = size // estimators._BP_BLOCK_ROWS
+        runners = set()
+        real = estimators._windowed_messages
+
+        def recording(*args):
+            runners.add(threading.get_ident())
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "_windowed_messages", recording)
+        self._usable_cores(monkeypatch, 1)
+        assert estimators.bp_threads(size, m_count) == 1
+        want = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
+        assert runners == {threading.get_ident()}
+        runners.clear()
+        self._usable_cores(monkeypatch, 4)
+        assert estimators.bp_threads(size, m_count) == min(4, blocks) > 1
+        got = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
+        assert threading.get_ident() in runners and len(runners) == min(4, blocks)
+        assert got.tobytes() == want.tobytes()
+
+    def test_threads_below_min_phases_or_under_blas_threads(self, monkeypatch):
+        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        size = 5 * estimators._BP_BLOCK_ROWS
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert estimators.bp_threads(size, 60) == 4
+        assert estimators.bp_threads(size, 15) == 1
+        assert estimators.bp_threads(estimators._BP_BLOCK_ROWS + 5, 60) == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert estimators.bp_threads(size, 60) == 2
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert estimators.bp_threads(size, 60) == 1  # BLAS takes every core
+
+    def test_block_error_reraises_and_leaves_no_thread(self, monkeypatch):
+        self._usable_cores(monkeypatch, 2)
+        m_count, size = 8, 3 * estimators._BP_BLOCK_ROWS
+        rng = np.random.default_rng(36)
+        log_r = rng.uniform(-5.0, 0.0, (size, m_count))
+        tables = FactorTables(log_r, q_matrix(make_grid(m_count, 4), 1e-3))
+        calls = itertools.count()
+        real = estimators._windowed_messages
+
+        def second_fails(*args):
+            if next(calls) == 1:
+                raise RuntimeError("block failed")
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "_windowed_messages", second_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            map_bp_estimate(tables, _cfg(4, m_count))
+        assert threading.active_count() == before
+
+    def test_threads_keep_the_callers_error_state(self, monkeypatch):
+        # exp(log R - peak) underflows only in the second block, which a
+        # pool thread runs; under the caller's errstate(under="raise") it
+        # raises as one thread does
+        self._usable_cores(monkeypatch, 2)
+        m_count, size = 8, 2 * estimators._BP_BLOCK_ROWS
+        log_r = np.zeros((size, m_count))
+        log_r[size - 100 :, 0] = -800.0
+        log_q = q_matrix(make_grid(m_count, 4), 1e-3)
+        assert estimators.bp_threads(size, m_count) == 2
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            _chain_log_marginals_windowed(log_r, log_q, 4)
 
     def test_distance_tables_do_not_depend_on_chunk_budget(self, shaped64, monkeypatch):
         params = ChannelParams(snr_db=20.0, sigma_theta_sq=1.18e-4, num_symbols=301, seed=24)

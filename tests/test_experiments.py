@@ -18,6 +18,7 @@ from wiener_cpe import (
     run_sweep,
     run_train,
 )
+from wiener_cpe import estimators
 from wiener_cpe.experiments import WORKERS_ENV_VAR, aggregate_cell, config_hash
 from wiener_cpe.training import TrainSchedule, save_params
 
@@ -109,6 +110,7 @@ class TestRunSweep:
 
         meta = json.loads((tmp_path / "run_meta.json").read_text())
         assert meta["config_hash"] == config_hash(config)
+        assert meta["bp_threads"] == 0  # no windowed BP ran
 
     def test_row_count_covers_product(self, tmp_path):
         config = _small_config(
@@ -222,6 +224,26 @@ class TestRunSweep:
         assert (tmp_path / "seq" / "results.csv").read_bytes() == (
             tmp_path / "par" / "results.csv"
         ).read_bytes()
+
+    def test_forked_workers_run_threaded_bp(self, tmp_path, monkeypatch):
+        # three BP blocks per frame on three threads, in forked workers too
+        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        size = 3 * estimators._BP_BLOCK_ROWS + 100
+        config = _small_config(
+            algorithms=("map_bp",),
+            num_test_phases=estimators._BP_THREAD_MIN_PHASES,
+            num_symbols=size,
+        )
+        assert estimators.bp_threads(size, config.num_test_phases) == 3
+        run_sweep(config, tmp_path / "seq", workers=1)
+        run_sweep(config, tmp_path / "par", workers=2)
+        for name in ("results.csv", "realizations.csv"):
+            assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+        for run in ("seq", "par"):
+            meta = json.loads((tmp_path / run / "run_meta.json").read_text())
+            assert meta["bp_threads"] == 3
 
 
 class TestEmitPlotData:
@@ -559,3 +581,38 @@ def test_package_runs_without_scipy(tmp_path, monkeypatch):
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
     assert (tmp_path / "model" / "heldout" / "results.csv").exists()
+
+
+_THREAD_GUARD_SCRIPT = """
+import os
+import threading
+
+import numpy as np
+
+import wiener_cpe
+from wiener_cpe import estimators
+
+print(threading.active_count())
+os.sched_getaffinity = lambda pid: {0, 1}
+size, m_count = 2 * estimators._BP_BLOCK_ROWS, estimators._BP_THREAD_MIN_PHASES
+print(estimators.bp_threads(size, m_count))
+cfg = wiener_cpe.EstimatorConfig(
+    half_window=4, grid=wiener_cpe.make_grid(m_count, 4), sigma_n_sq=0.01, sigma_theta_sq=1e-3
+)
+log_r = np.random.default_rng(0).uniform(-5.0, 0.0, (size, m_count))
+tables = wiener_cpe.FactorTables(log_r, wiener_cpe.q_matrix(cfg.grid, cfg.sigma_theta_sq))
+wiener_cpe.map_bp_estimate(tables, cfg)
+print(threading.active_count())
+"""
+
+
+def test_package_starts_no_thread(monkeypatch):
+    # importing wiener_cpe starts no thread, and a threaded windowed BP
+    # frame leaves none behind, so sweep workers fork from one thread
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    out = subprocess.run(
+        [sys.executable, "-c", _THREAD_GUARD_SCRIPT], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1", "2", "1"]
