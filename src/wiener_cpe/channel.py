@@ -29,8 +29,12 @@ class ChannelParams:
     random_phi0: bool = False
 
     def __post_init__(self):
-        if self.sigma_theta_sq < 0:
-            raise ValueError("sigma_theta_sq must be nonnegative")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError("snr_db must be finite or +inf")
+        if not 0 <= self.sigma_theta_sq < math.inf:
+            raise ValueError("sigma_theta_sq must be finite and nonnegative")
+        if not math.isfinite(self.phi0):
+            raise ValueError("phi0 must be finite")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be at least 1")
 

@@ -2,7 +2,12 @@
 
 Exit codes: 0 on success, 1 on configuration errors, 2 on runtime errors.
 Worker count for sweep realizations comes from --workers or the
-WIENER_CPE_WORKERS environment variable (default 1).
+WIENER_CPE_WORKERS environment variable (default 1). With more than one
+worker, set OPENBLAS_NUM_THREADS=1: unpinned, OpenBLAS in every worker
+runs each product on every core (two workers on an M=60 windowed-BP sweep
+took 14.9 / 7.7 / 29.6 s on a 2-vCPU VM against 1.1-2.0 s pinned).
+Log-marginals are bit-identical only for a fixed BLAS thread count; the
+estimates and CSVs did not move in the frames tested.
 """
 
 from __future__ import annotations

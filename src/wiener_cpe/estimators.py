@@ -97,37 +97,28 @@ class EstimatorConfig:
 class BpsOptParams:
     """Window weights (on the simplex) and softmin temperature.
 
-    ``weights`` is the softmax of ``raw_weights`` and ``temperature`` the
-    exponential of ``raw_temp``; training operates on the raw values so the
-    constraints hold exactly.
+    Only the raw values training operates on are fields; ``weights``, the
+    softmax of ``raw_weights``, and ``temperature``, the exponential of
+    ``raw_temp``, are derived from them, so the constraints hold exactly.
     """
 
-    weights: np.ndarray
-    temperature: float
     raw_weights: np.ndarray
     raw_temp: float
 
     def __post_init__(self):
-        for name in ("weights", "raw_weights"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+        raw_weights = np.ascontiguousarray(self.raw_weights, dtype=np.float64)
+        weights = softmax(raw_weights)
+        for name, arr in (("raw_weights", raw_weights), ("weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if abs(self.weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-        if np.any(self.weights < 0):
-            raise ValueError("weights must be nonnegative")
+        object.__setattr__(self, "raw_temp", float(self.raw_temp))
+        object.__setattr__(self, "temperature", float(np.exp(self.raw_temp)))
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 
     @classmethod
     def from_raw(cls, raw_weights, raw_temp: float) -> "BpsOptParams":
-        raw_weights = np.asarray(raw_weights, dtype=np.float64)
-        return cls(
-            weights=softmax(raw_weights),
-            temperature=float(np.exp(raw_temp)),
-            raw_weights=raw_weights,
-            raw_temp=float(raw_temp),
-        )
+        return cls(raw_weights, raw_temp)
 
     @classmethod
     def uniform(cls, half_window: int, temperature: float = 0.1) -> "BpsOptParams":
@@ -397,30 +388,19 @@ def _windowed_block(log_r, q_lin_t, half_window: int, out, a: int, b: int) -> No
 
 def _chain_log_marginals_windowed(log_r, log_q, half_window: int) -> np.ndarray:
     # blocks share only read-only inputs and write disjoint rows of out.
-    # With t threads the caller runs blocks 0, t, 2t, ... and pool thread i
-    # blocks i, t + i, ..., in a copy of the caller's context so that
-    # numpy's error state there is the caller's. The caller taking a share
-    # keeps one thread's block buffers off the peak (3.5 MB of peak RSS
-    # on a 2^15-row frame at M=60).
+    # Each runs in its own copy of the caller's context (one Context cannot
+    # be entered by two threads at once), so numpy's error state there is
+    # the caller's.
     out = np.empty_like(log_r)
     q_lin_t = _linear_transitions(log_q, _WINDOWED_Q_FLUSH).T
+    starts, stops = zip(*_row_blocks(len(log_r), _BP_BLOCK_ROWS))
+    contexts = [copy_context() for _ in starts]
 
-    def run(blocks):
-        for a, b in blocks:
-            _windowed_block(log_r, q_lin_t, half_window, out, a, b)
+    def run(context, a, b):
+        context.run(_windowed_block, log_r, q_lin_t, half_window, out, a, b)
 
-    blocks = list(_row_blocks(len(log_r), _BP_BLOCK_ROWS))
-    threads = bp_threads(*log_r.shape)
-    if threads == 1:
-        run(blocks)
-        return out
-    with ThreadPoolExecutor(threads - 1) as pool:
-        others = [
-            pool.submit(copy_context().run, run, blocks[i::threads]) for i in range(1, threads)
-        ]
-        run(blocks[::threads])
-        for other in others:
-            other.result()
+    with ThreadPoolExecutor(bp_threads(*log_r.shape)) as pool:
+        list(pool.map(run, contexts, starts, stops))
     return out
 
 
@@ -522,9 +502,9 @@ def map_bp_estimate(tables: FactorTables, cfg: EstimatorConfig) -> np.ndarray:
     products of 256 columns or fewer round differently at M=60
     (log-marginals move by up to 2.8e-14).
 
-    The blocks run on one thread per usable core (``bp_threads``): the
-    caller and the threads of a pool created and joined inside the call,
-    so no thread outlives it. Threading changes no bit: a block's products
+    The blocks run on a pool of one thread per usable core
+    (``bp_threads``), created and joined inside the call, so no thread
+    outlives it. Threading changes no bit: a block's products
     keep their (M, M) @ (M, rows) shapes, so BLAS rounds each one as in a
     single thread, and each block writes only its own output rows. Usable
     cores are those in the process's CPU affinity that BLAS leaves free:

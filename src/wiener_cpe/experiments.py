@@ -110,6 +110,13 @@ class ExperimentConfig:
         for name in self.algorithms:
             if name not in KNOWN_ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {name!r}; known: {KNOWN_ALGORITHMS}")
+        for name in ("snr_db", "sigma_theta_sq", "algorithms"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} has repeated entries")
+        if len({f"{v:.6g}" for v in self.sigma_theta_sq}) < len(self.sigma_theta_sq):
+            # emit_plot_data names a sigma_theta_sq's file by these digits
+            raise ConfigError("sigma_theta_sq values must differ in 6 significant digits")
         if self.target_entropy is not None and self.mb_lambda is not None:
             raise ConfigError("set at most one of target_entropy and mb_lambda")
 

@@ -115,4 +115,17 @@ class TestTransmit:
             ChannelParams(snr_db=10.0, sigma_theta_sq=-1.0, num_symbols=4, seed=0)
         with pytest.raises(ValueError):
             ChannelParams(snr_db=10.0, sigma_theta_sq=0.0, num_symbols=0, seed=0)
-
+        # +inf SNR is the noiseless switch; every other non-finite value
+        # would pass through transmit silently (a NaN SNR adds no noise)
+        base = dict(snr_db=math.inf, sigma_theta_sq=1e-4, num_symbols=4, seed=0)
+        ChannelParams(**base)
+        for field, value in [
+            ("snr_db", math.nan),
+            ("snr_db", -math.inf),
+            ("sigma_theta_sq", math.nan),
+            ("sigma_theta_sq", math.inf),
+            ("phi0", math.nan),
+            ("phi0", math.inf),
+        ]:
+            with pytest.raises(ValueError, match=field):
+                ChannelParams(**{**base, field: value})

@@ -490,23 +490,32 @@ class TestBlockedBp:
         cfg = _cfg(half, m_count, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=sigma_theta_sq)
         tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
         blocks = size // estimators._BP_BLOCK_ROWS
-        runners = set()
         real = estimators._windowed_messages
 
-        def recording(*args):
-            runners.add(threading.get_ident())
-            return real(*args)
+        def run_recording(threads):
+            # the first `threads` block calls meet at a barrier, so the pool
+            # must run them on `threads` distinct threads; fewer time out
+            # and raise BrokenBarrierError instead of hanging
+            runners, calls = set(), itertools.count()
+            barrier = threading.Barrier(threads, timeout=30.0)
 
-        monkeypatch.setattr(estimators, "_windowed_messages", recording)
+            def recording(*args):
+                runners.add(threading.get_ident())
+                if next(calls) < threads:
+                    barrier.wait()
+                return real(*args)
+
+            monkeypatch.setattr(estimators, "_windowed_messages", recording)
+            out = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
+            assert threading.get_ident() not in runners and len(runners) == threads
+            return out
+
         self._usable_cores(monkeypatch, 1)
         assert estimators.bp_threads(size, m_count) == 1
-        want = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
-        assert runners == {threading.get_ident()}
-        runners.clear()
+        want = run_recording(1)
         self._usable_cores(monkeypatch, 4)
         assert estimators.bp_threads(size, m_count) == min(4, blocks) > 1
-        got = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
-        assert threading.get_ident() in runners and len(runners) == min(4, blocks)
+        got = run_recording(min(4, blocks))
         assert got.tobytes() == want.tobytes()
 
     def test_threads_below_min_phases_or_under_blas_threads(self, monkeypatch):
@@ -1024,20 +1033,9 @@ class TestBpsOpt:
             bps_opt_estimate(d_table, cfg, BpsOptParams.uniform(3))
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            BpsOptParams(
-                weights=np.array([0.5, 0.6]),
-                temperature=1.0,
-                raw_weights=np.zeros(2),
-                raw_temp=0.0,
-            )
-        with pytest.raises(ValueError):
-            BpsOptParams(
-                weights=np.array([0.5, 0.5]),
-                temperature=0.0,
-                raw_weights=np.zeros(2),
-                raw_temp=0.0,
-            )
+        # exp(-1000) underflows to a zero temperature
+        with pytest.raises(ValueError, match="temperature"):
+            BpsOptParams(raw_weights=np.zeros(2), raw_temp=-1000.0)
 
 
 class TestSharedProperties:

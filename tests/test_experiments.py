@@ -53,6 +53,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"snr": [10]})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(snr_db=(12.0, 15.0, 12.0)),
+            dict(sigma_theta_sq=(1e-4, 1e-3, 1e-4)),
+            dict(algorithms=("bps", "map_bp", "bps")),
+        ],
+    )
+    def test_repeated_entries_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="repeated"):
+            _small_config(**overrides)
+
+    def test_sigma_values_sharing_a_plot_name_rejected(self):
+        # both would write bmi_vs_snr_sigma_theta_0.0001.csv
+        with pytest.raises(ConfigError, match="6 significant digits"):
+            _small_config(sigma_theta_sq=(1e-4, 1.00000001e-4))
+        _small_config(sigma_theta_sq=(1e-4, 1.00001e-4))
+
     def test_both_shaping_knobs_rejected(self):
         with pytest.raises(ConfigError):
             _small_config(target_entropy=3.5, mb_lambda=0.1)
@@ -440,6 +458,14 @@ class TestCli:
             ("--sigma-theta-sq", "1e-4", "-1e-4"),
             ("--realizations", "0"),
             ("--r-max", "0"),
+            ("--snr-db", "nan"),
+            ("--snr-db", "15", "-inf"),
+            ("--sigma-theta-sq", "nan"),
+            ("--sigma-theta-sq", "1e-4", "inf"),
+            ("--phi0", "nan"),
+            ("--sigma-theta-sq", "1e-4", "1.00000001e-4"),
+            ("--snr-db", "15", "15"),
+            ("--algorithms", "bps", "cpn", "bps"),
         ],
     )
     def test_invalid_values_exit_1_before_writing(self, tmp_path, flags):
