@@ -49,7 +49,6 @@ _CONFIG_FLAGS = {
     "realizations": ("--realizations", int, None),
     "num_symbols": ("--symbols", int, None),
     "seed": ("--seed", int, None),
-    "r_max": ("--r-max", int, None),
     "trained_params_path": ("--trained-params", str, None),
     "phi0": ("--phi0", float, None),
 }
@@ -57,8 +56,8 @@ _CONFIG_FLAGS = {
 
 def _add_config_arguments(parser):
     parser.add_argument("--config", type=str, help="JSON config file; flags override its fields")
-    for flag, kind, nargs in _CONFIG_FLAGS.values():
-        parser.add_argument(flag, type=kind, nargs=nargs)
+    for field, (flag, kind, nargs) in _CONFIG_FLAGS.items():
+        parser.add_argument(flag, dest=field, type=kind, nargs=nargs)
     parser.add_argument("--exclude-edges", action="store_true", default=None)
     parser.add_argument("--full-sequence-bp", action="store_true", default=None)
     parser.add_argument("--random-phi0", action="store_true", default=None)
@@ -70,13 +69,11 @@ def _config_from_args(args) -> ExperimentConfig:
         try:
             with open(args.config) as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError(f"expected a JSON object, got {doc!r}")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read --config {args.config}: {exc}") from exc
-    for field, (flag, _, _) in _CONFIG_FLAGS.items():
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if value is not None:
-            doc[field] = value
-    for field in ("exclude_edges", "full_sequence_bp", "random_phi0"):
+    for field in (*_CONFIG_FLAGS, "exclude_edges", "full_sequence_bp", "random_phi0"):
         value = getattr(args, field)
         if value is not None:
             doc[field] = value
@@ -157,11 +154,11 @@ def _cmd_eval(args) -> int:
 def _cmd_plot_data(args) -> int:
     results_dir = Path(args.results)
     meta_path = results_dir / "run_meta.json"
-    if not meta_path.exists():
-        raise ConfigError(f"no run_meta.json under {results_dir}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    config = ExperimentConfig.from_dict(meta["config"])
+    try:
+        with open(meta_path) as fh:
+            config = ExperimentConfig.from_dict(json.load(fh)["config"])
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(f"cannot read {meta_path}: {type(exc).__name__}: {exc}") from exc
     results = load_sweep(config, results_dir)
     emit_plot_data(results, config, args.out or results_dir / "plots")
     return 0

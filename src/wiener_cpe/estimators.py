@@ -222,23 +222,21 @@ def r_table(y, grid: PhaseGrid, constellation: Constellation, sigma_n_sq: float)
     return log_r
 
 
-def q_matrix(grid: PhaseGrid, sigma_theta_sq: float, r_max: int = 3) -> np.ndarray:
+def q_matrix(grid: PhaseGrid, sigma_theta_sq: float) -> np.ndarray:
     """Log wrapped-normal transition matrix, rows normalized to sum 1.
 
     Entry (i, j) is the log probability of stepping from grid phase i to
-    grid phase j. The wrapping sum is truncated at the wider of ``r_max``
-    and ceil(5 sigma_theta n / (2 pi)); a zero increment variance is
-    replaced by a tiny floor so the kernel degenerates to (numerically)
-    an identity instead of a special-cased delta.
+    grid phase j. The wrapping sum is truncated at max(3, ceil(5 sigma_theta
+    n / (2 pi))) wraps each way; a zero increment variance is replaced by a
+    tiny floor so the kernel degenerates to (numerically) an identity
+    instead of a special-cased delta.
     """
     if sigma_theta_sq < 0:
         raise ValueError("sigma_theta_sq must be nonnegative")
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1")
     var = max(sigma_theta_sq, _DEGENERATE_Q_FLOOR)
     n = grid.sym_order
     period = 2.0 * np.pi / n
-    r_eff = max(r_max, int(math.ceil(5.0 * math.sqrt(var) * n / (2.0 * np.pi))))
+    r_eff = max(3, int(math.ceil(5.0 * math.sqrt(var) * n / (2.0 * np.pi))))
     shifts = period * np.arange(-r_eff, r_eff + 1)
     diff = grid.phases[:, None] - grid.phases[None, :]
     log_terms = -((diff[:, :, None] + shifts[None, None, :]) ** 2) / (2.0 * var)

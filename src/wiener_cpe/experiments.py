@@ -22,10 +22,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, asdict, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,19 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; maps to CLI exit code 1."""
 
 
+# per field annotation (less " | None"), the values a config field admits
+# and the type it stores them as; bool, an int subclass, passes only as bool
+_FIELD_TYPES = {"int": (numbers.Integral, int), "float": (numbers.Real, float),
+                "bool": (bool, bool), "str": (str, str)}
+
+
+def _typed(name: str, kind: str, value):
+    admitted, stored = _FIELD_TYPES[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, admitted):
+        raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+    return stored(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: constellation, channel grid, estimators, and scale."""
@@ -88,19 +102,21 @@ class ExperimentConfig:
     num_symbols: int = 2**15
     seed: int = 0
     exclude_edges: bool = False
-    r_max: int = 3
     full_sequence_bp: bool = False
     trained_params_path: str | None = None
     phi0: float = 0.0
     random_phi0: bool = False
 
     def __post_init__(self):
-        for name in ("snr_db", "sigma_theta_sq", "algorithms"):
-            if not isinstance(getattr(self, name), (list, tuple)):
-                raise ConfigError(f"{name} must be a list")
-        object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
-        object.__setattr__(self, "sigma_theta_sq", tuple(float(v) for v in self.sigma_theta_sq))
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        for field in fields(self):
+            kind, value = field.type.removesuffix(" | None"), getattr(self, field.name)
+            if kind.startswith("tuple["):  # tuple[float, ...] or tuple[str, ...]
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"{field.name} must be a list")
+                value = tuple(_typed(field.name, kind[6:-6], v) for v in value)
+            elif value is not None or field.default is not None:
+                value = _typed(field.name, kind, value)
+            object.__setattr__(self, field.name, value)
         if not self.snr_db or not self.sigma_theta_sq:
             raise ConfigError("sweep lists must be nonempty")
         if self.realizations < 1:
@@ -122,6 +138,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"expected a JSON object, got {doc!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -246,8 +264,6 @@ def _checked_constellation(config: ExperimentConfig) -> Constellation:
         raise ConfigError(str(exc)) from exc
     if config.num_symbols < 2 * config.half_window + 1:
         raise ConfigError("num_symbols must be at least the window length 2 * half_window + 1")
-    if config.r_max < 1:
-        raise ConfigError("r_max must be at least 1")
     return constellation
 
 
@@ -265,7 +281,7 @@ def _evaluate_realization(args):
     )
     tables = None
     if want_log_r:
-        tables = FactorTables(log_r, q_matrix(cfg.grid, cfg.sigma_theta_sq, config.r_max))
+        tables = FactorTables(log_r, q_matrix(cfg.grid, cfg.sigma_theta_sq))
     shared_s = time.perf_counter() - started
 
     out = {}
@@ -317,7 +333,8 @@ def run_sweep(
 
     Realization r of every cell uses seed = config.seed + r (common random
     numbers across cells). Completed cells are checkpointed under
-    ``cells/`` and skipped on re-run when the config hash matches.
+    ``cells/`` and skipped on re-run when the config hash matches. The
+    CSVs come from every cell, fresh or resumed, as ``load_sweep`` reads it.
     """
     constellation = _checked_constellation(config)
     digest = config_hash(config)
@@ -327,26 +344,13 @@ def run_sweep(
     cells_dir = out_dir / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
 
-    results: list[CellResult] = []
-    wall_times: dict[str, float] = {}
-    shared_times: dict[str, float] = {}
     for i_snr, snr in enumerate(config.snr_db):
         for i_sigma, sigma in enumerate(config.sigma_theta_sq):
-            cached = {
-                algo: _cell_path(cells_dir, digest, i_snr, i_sigma, algo)
-                for algo in config.algorithms
-            }
-            if all(p.exists() for p in cached.values()):
-                cells = [_load_cell(cached[algo], snr, sigma, algo) for algo in config.algorithms]
-            else:
-                cells = _run_cell(
-                    constellation, config, snr, sigma, opt_params, n_workers, cached
-                )
-            results.extend(cells)
-            for cell in cells:
-                wall_times[f"snr={snr} sigma={sigma} algo={cell.algorithm}"] = cell.wall_time_s
-            shared_times[f"snr={snr} sigma={sigma}"] = cells[0].shared_time_s
+            paths = {a: _cell_path(cells_dir, digest, i_snr, i_sigma, a) for a in config.algorithms}
+            if not all(p.exists() for p in paths.values()):
+                _run_cell(constellation, config, snr, sigma, opt_params, n_workers, paths)
 
+    results = load_sweep(config, out_dir)
     _write_results_csv(out_dir / "results.csv", results, config, digest)
     _write_realizations_csv(out_dir / "realizations.csv", results, config)
     windowed_bp = "map_bp" in config.algorithms and not config.full_sequence_bp
@@ -354,8 +358,13 @@ def run_sweep(
         "config": asdict(config),
         "config_hash": digest,
         "results_version": RESULTS_VERSION,
-        "wall_times_s": wall_times,
-        "shared_tables_s": shared_times,
+        "wall_times_s": {
+            f"snr={c.snr_db} sigma={c.sigma_theta_sq} algo={c.algorithm}": c.wall_time_s
+            for c in results
+        },
+        "shared_tables_s": {
+            f"snr={c.snr_db} sigma={c.sigma_theta_sq}": c.shared_time_s for c in results
+        },
         "workers": n_workers,
         "bp_threads": (
             bp_threads(config.num_symbols, config.num_test_phases) if windowed_bp else 0
@@ -368,7 +377,7 @@ def run_sweep(
 
 def _run_cell(constellation, config, snr, sigma, opt_params, n_workers, paths):
     """Compute one (snr, sigma_theta_sq) cell for every algorithm and
-    checkpoint each algorithm's result to ``paths[algo]``."""
+    write each algorithm's result to ``paths[algo]``."""
     tasks = [
         (constellation, config, snr, sigma, r, opt_params) for r in range(config.realizations)
     ]
@@ -378,7 +387,6 @@ def _run_cell(constellation, config, snr, sigma, opt_params, n_workers, paths):
     else:
         per_realization = [_evaluate_realization(t) for t in tasks]
     shared_s = sum(shared for _, shared in per_realization)
-    cells = []
     for algo in config.algorithms:
         scores = [out[algo] for out, _ in per_realization]
         doc = {
@@ -389,8 +397,6 @@ def _run_cell(constellation, config, snr, sigma, opt_params, n_workers, paths):
             "shared_time_s": shared_s,
         }
         _save_cell(paths[algo], doc)
-        cells.append(_cell_from_doc(doc, snr, sigma, algo))
-    return cells
 
 
 def load_sweep(config: ExperimentConfig, output_dir) -> list[CellResult]:
@@ -421,12 +427,7 @@ def _save_cell(path: Path, doc: dict) -> None:
 
 def _load_cell(path: Path, snr: float, sigma: float, algo: str) -> CellResult:
     with open(path) as fh:
-        return _cell_from_doc(json.load(fh), snr, sigma, algo)
-
-
-def _cell_from_doc(doc: dict, snr: float, sigma: float, algo: str) -> CellResult:
-    """The cell a ``cells/*.json`` doc records, whether just computed or
-    read back from disk."""
+        doc = json.load(fh)
     median, q25, q75 = aggregate_cell(doc["bmi_values"])
     return CellResult(
         snr_db=snr,

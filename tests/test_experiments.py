@@ -53,6 +53,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"snr": [10]})
 
+    def test_removed_r_max_key_rejected(self):
+        # the transition matrix's wrap count is no longer configurable
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_dict({"r_max": 3})
+
+    @pytest.mark.parametrize("doc", [5, [], "order"])
+    def test_non_mapping_doc_rejected(self, doc):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_numpy_scalars_are_stored_as_python_scalars(self):
+        config = _small_config(
+            order=np.int64(16), target_entropy=np.float32(3.5), snr_db=(np.float32(12.0),)
+        )
+        assert type(config.order) is int and type(config.target_entropy) is float
+        assert config.snr_db == (12.0,) and type(config.snr_db[0]) is float
+        assert config_hash(config) == config_hash(_small_config(snr_db=(12.0,)))
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -430,6 +448,25 @@ class TestCli:
         assert (out_dir / "run_meta.json").read_bytes() == meta
         assert (out_dir / "results.csv").read_bytes() == results
 
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ("{", "JSONDecodeError"),
+            ("{}", "KeyError: 'config'"),
+            ("[]", "TypeError"),
+            ('{"config": 5}', "expected a JSON object"),
+            # an older run_meta.json that still holds the removed r_max key
+            ('{"config": {"r_max": 3}}', "unknown config keys: ['r_max']"),
+        ],
+    )
+    def test_plot_data_on_unreadable_run_meta_exits_1(self, tmp_path, meta, message):
+        (tmp_path / "run_meta.json").write_text(meta)
+        plot = self._run("plot-data", "--results", str(tmp_path))
+        assert plot.returncode == 1, plot.stderr
+        assert "config error" in plot.stderr and "Traceback" not in plot.stderr
+        assert str(tmp_path / "run_meta.json") in plot.stderr and message in plot.stderr
+        assert not (tmp_path / "plots").exists()
+
     def test_flag_overrides(self, tmp_path):
         out = self._run(
             "sweep", "--order", "16", "--target-entropy", "3.5", "--snr-db", "15",
@@ -521,19 +558,45 @@ class TestCli:
         assert "config error" in out.stderr and "Traceback" not in out.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("field, value", [("snr_db", 20), ("algorithms", "bps")])
-    def test_scalar_config_list_exits_1_before_writing(self, tmp_path, field, value):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("snr_db", 20, "snr_db must be a list", id="snr_db-20"),
+            pytest.param("algorithms", "bps", "algorithms must be a list", id="algorithms-bps"),
+            # a value of the wrong type for its field, a list entry, or the whole doc
+            ("full_sequence_bp", "false", "full_sequence_bp: expected bool"),
+            ("exclude_edges", "false", "exclude_edges: expected bool"),
+            ("random_phi0", 1, "random_phi0: expected bool"),
+            ("realizations", True, "realizations: expected int"),
+            ("realizations", "3", "realizations: expected int"),
+            ("snr_db", [True], "snr_db: expected float"),
+            ("sigma_theta_sq", ["1e-4"], "sigma_theta_sq: expected float"),
+            ("algorithms", ["bps", 1], "algorithms: expected str"),
+            ("num_test_phases", 8.0, "num_test_phases: expected int"),
+            ("seed", 1.5, "seed: expected int"),
+            ("num_symbols", 256.0, "num_symbols: expected int"),
+            ("half_window", 2.5, "half_window: expected int"),
+            ("target_entropy", True, "target_entropy: expected float"),
+            ("phi0", "0", "phi0: expected float"),
+            ("trained_params_path", 5, "trained_params_path: expected str"),
+            pytest.param(None, 5, "expected a JSON object", id="top-level-5"),
+        ],
+    )
+    def test_scalar_config_list_exits_1_before_writing(self, tmp_path, field, value, message):
         config = dict(
             order=16, snr_db=[15.0], sigma_theta_sq=[1e-4], algorithms=["bps"], half_window=2,
             num_test_phases=8, realizations=1, num_symbols=64,
         )
-        config[field] = value
+        if field is None:
+            config = value
+        else:
+            config[field] = value
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         out = self._run("sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
         assert out.returncode == 1, out.stderr
         assert "config error" in out.stderr and "Traceback" not in out.stderr
-        assert f"{field} must be a list" in out.stderr
+        assert message in out.stderr
         assert not (tmp_path / "out").exists()
 
     def test_eval_scores_bps_and_bps_opt_only(self, tmp_path):
