@@ -1,15 +1,20 @@
-"""Record the sweep behaviour reference that ``tests/test_sweep_reference.py``
+"""Record the behaviour reference that ``tests/test_sweep_reference.py``
 checks.
 
 Runs four seeded one-realization sweeps of 64-QAM shaped to 5.75 bit with
 N = 32 and 3500 symbols (four windowed-BP blocks) over 16/24 dB x
 sigma_theta^2 1e-5/1e-3 and all four algorithms: M = 15 and M = 60, each
 with windowed and with full-sequence BP. For each sweep it stores the
-``realizations.csv`` text and the ``results.csv`` text without its
-``config_hash`` column (which changes with every config field), plus the
-``RESULTS_VERSION``, numpy version, BLAS build and SIMD extensions they ran
-on. Run it with one BLAS thread, since log-marginals depend on the BLAS
-thread count:
+``realizations.csv`` text, the ``results.csv`` text without its
+``config_hash`` column (which changes with every config field), the text of
+each ``plots/bmi_vs_snr_*.csv`` that ``emit_plot_data`` writes, and the
+sha256 of each algorithm's raw estimates, taken by wrapping the four
+estimator names that ``experiments`` calls. It also runs one seeded
+``run_train`` (16-QAM, one epoch of one 256-symbol batch) and stores the
+text of its ``params.json``, ``report.json`` and ``weights.csv``. Each
+record carries the ``RESULTS_VERSION``, numpy version, BLAS build and SIMD
+extensions it ran on. Run it with one BLAS thread, since log-marginals
+depend on the BLAS thread count:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/record_sweep_reference.py
 
@@ -17,6 +22,7 @@ Re-record only in a change that says why its numbers moved.
 """
 
 import argparse
+import hashlib
 import json
 import tempfile
 from dataclasses import replace
@@ -24,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from wiener_cpe import ExperimentConfig, run_sweep
+from wiener_cpe import ExperimentConfig, emit_plot_data, experiments, run_sweep, run_train
 from wiener_cpe.experiments import RESULTS_VERSION
+from wiener_cpe.training import TrainSchedule
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = ROOT / "tests" / "data" / "sweep_reference.json"
@@ -41,6 +48,29 @@ BASE = ExperimentConfig(
     num_symbols=3500,
     seed=3,
 )
+
+TRAIN_CONFIG = ExperimentConfig(
+    order=16,
+    target_entropy=3.5,
+    snr_db=(15.0,),
+    sigma_theta_sq=(1e-4,),
+    half_window=4,
+    num_test_phases=8,
+    realizations=1,
+    num_symbols=256,
+    seed=1,
+)
+TRAIN_SCHEDULE = TrainSchedule(
+    epochs=1, batches_start=1, batches_end=1, batch_symbols_start=256,
+    batch_symbols_end=256, seed=3,
+)
+
+ESTIMATORS = {
+    "bps_estimate": "bps",
+    "cpn_estimate": "cpn",
+    "map_bp_estimate": "map_bp",
+    "bps_opt_estimate": "bps_opt",
+}
 
 
 def sweep_configs() -> dict:
@@ -71,17 +101,57 @@ def without_hash_column(text: str) -> str:
     return "".join(line.split(",", 1)[1] for line in text.splitlines(keepends=True))
 
 
+def text(path: Path) -> str:
+    return path.read_bytes().decode()
+
+
+def hashed_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
+    """Run one sweep on one worker with each estimator wrapped, and return
+    the sha256 of each algorithm's raw estimates in call order."""
+    digests = {algo: hashlib.sha256() for algo in ESTIMATORS.values()}
+
+    def wrap(fn, algo):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            digests[algo].update(np.ascontiguousarray(out, dtype=np.float64).tobytes())
+            return out
+
+        return wrapped
+
+    saved = {name: getattr(experiments, name) for name in ESTIMATORS}
+    for name, fn in saved.items():
+        setattr(experiments, name, wrap(fn, ESTIMATORS[name]))
+    try:
+        results = run_sweep(config, out_dir, workers=1)
+    finally:
+        for name, fn in saved.items():
+            setattr(experiments, name, fn)
+    emit_plot_data(results, config, out_dir / "plots")
+    return {algo: digests[algo].hexdigest() for algo in config.algorithms}
+
+
 def record() -> dict:
-    sweeps = {}
+    sweeps, estimates = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in sweep_configs().items():
             out_dir = Path(tmp) / name
-            run_sweep(config, out_dir, workers=1)
+            estimates[name] = hashed_sweep(config, out_dir)
             sweeps[name] = {
-                "results": without_hash_column((out_dir / "results.csv").read_bytes().decode()),
-                "realizations": (out_dir / "realizations.csv").read_bytes().decode(),
+                "results": without_hash_column(text(out_dir / "results.csv")),
+                "realizations": text(out_dir / "realizations.csv"),
             }
-    return {"results_version": RESULTS_VERSION, "build": build_info(), "sweeps": sweeps}
+            for plot in sorted((out_dir / "plots").glob("bmi_vs_snr_*.csv")):
+                sweeps[name][f"plots/{plot.stem}"] = text(plot)
+        model = Path(tmp) / "model"
+        run_train(TRAIN_CONFIG, TRAIN_SCHEDULE, model)
+        train = {name: text(model / name) for name in ("params.json", "report.json", "weights.csv")}
+    return {
+        "results_version": RESULTS_VERSION,
+        "build": build_info(),
+        "sweeps": sweeps,
+        "estimates_sha256": estimates,
+        "train": train,
+    }
 
 
 def main():

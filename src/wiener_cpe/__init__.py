@@ -30,11 +30,12 @@ from .experiments import (
     build_constellation,
     emit_plot_data,
     evaluate_params,
+    load_params,
     run_sweep,
     run_train,
 )
 from .metrics import BmiReport, bmi, llrs, optimize_demapper_variance
 from .postproc import CorrectedTrace, cycle_slip_correct, derotate, postprocess, unwrap
-from .training import TrainReport, TrainSchedule, adam_step, grad, load_params, loss, train
+from .training import TrainReport, TrainSchedule, adam_step, grad, loss, train
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ estimates and CSVs did not move in the frames tested.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import traceback
 from dataclasses import fields
@@ -25,6 +24,7 @@ from .experiments import (
     emit_plot_data,
     evaluate_params,
     load_sweep,
+    read_json,
     run_sweep,
     run_train,
 )
@@ -64,20 +64,15 @@ def _add_config_arguments(parser):
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    doc = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError(f"expected a JSON object, got {doc!r}")
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read --config {args.config}: {exc}") from exc
+    flags = {}
     for field in (*_CONFIG_FLAGS, "exclude_edges", "full_sequence_bp", "random_phi0"):
         value = getattr(args, field)
         if value is not None:
-            doc[field] = value
-    return ExperimentConfig.from_dict(doc)
+            flags[field] = value
+    if args.config:
+        # a bad field then names the file, even where a flag set it
+        return read_json(args.config, lambda doc: ExperimentConfig.from_dict({**doc, **flags}))
+    return ExperimentConfig.from_dict(flags)
 
 
 def _schedule_from_args(args) -> TrainSchedule:
@@ -153,12 +148,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_plot_data(args) -> int:
     results_dir = Path(args.results)
-    meta_path = results_dir / "run_meta.json"
-    try:
-        with open(meta_path) as fh:
-            config = ExperimentConfig.from_dict(json.load(fh)["config"])
-    except (OSError, ValueError, LookupError, TypeError) as exc:
-        raise ConfigError(f"cannot read {meta_path}: {type(exc).__name__}: {exc}") from exc
+    config = read_json(
+        results_dir / "run_meta.json", lambda meta: ExperimentConfig.from_dict(meta["config"])
+    )
     results = load_sweep(config, results_dir)
     emit_plot_data(results, config, args.out or results_dir / "plots")
     return 0

@@ -25,7 +25,6 @@ import json
 import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -48,7 +47,7 @@ from .estimators import (
 )
 from .metrics import optimize_demapper_variance
 from .postproc import postprocess
-from .training import TrainSchedule, load_params, save_params, save_report, train, weights_to_csv
+from .training import TrainReport, TrainSchedule, train
 
 KNOWN_ALGORITHMS = ("bps", "cpn", "map_bp", "bps_opt")
 
@@ -83,7 +82,42 @@ def _typed(name: str, kind: str, value):
     admitted, stored = _FIELD_TYPES[kind]
     if isinstance(value, bool) != (kind == "bool") or not isinstance(value, admitted):
         raise ConfigError(f"{name}: expected {kind}, got {value!r}")
-    return stored(value)
+    try:
+        return stored(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{name}: {kind} out of range") from None
+
+
+def read_json(path, parse):
+    """``parse`` of the JSON object in the file at ``path``. Any failure to
+    open the file, decode it, find an object in it or parse that object is
+    a ConfigError that names the file and the exception."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {doc!r}")
+        return parse(doc)
+    except (OSError, ValueError, LookupError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"cannot read {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _write_file(path, write) -> None:
+    """Write ``path`` whole: ``write(fh)`` fills a temporary file beside it,
+    which then replaces ``path``, so no reader sees a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", newline="") as fh:
+        write(fh)
+    tmp.replace(path)
+
+
+def _write_json(path, doc: dict, indent: int | None = 2) -> None:
+    _write_file(path, lambda fh: json.dump(doc, fh, indent=indent))
+
+
+def _write_csv(path, header: list, rows) -> None:
+    _write_file(path, lambda fh: csv.writer(fh).writerows([header, *rows]))
 
 
 @dataclass(frozen=True)
@@ -163,11 +197,7 @@ def _load_opt_params(config: ExperimentConfig) -> BpsOptParams:
         # t ln((M-1)/(n 1e-6)); nearer ties may blend (about 0.16% of symbols
         # at 20 dB, sigma_theta^2=1.18e-4, M=15, N=32)
         return BpsOptParams.uniform(config.half_window, temperature=1e-6)
-    try:
-        params = load_params(config.trained_params_path)
-    except (OSError, ValueError, KeyError) as exc:
-        path = config.trained_params_path
-        raise ConfigError(f"cannot read trained params {path}: {exc}") from exc
+    params = load_params(config.trained_params_path)
     if params.weights.size != 2 * config.half_window + 1:
         raise ConfigError("trained params window length does not match half_window")
     return params
@@ -370,8 +400,7 @@ def run_sweep(
             bp_threads(config.num_symbols, config.num_test_phases) if windowed_bp else 0
         ),
     }
-    with open(out_dir / "run_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
+    _write_json(out_dir / "run_meta.json", meta)
     return results
 
 
@@ -382,6 +411,8 @@ def _run_cell(constellation, config, snr, sigma, opt_params, n_workers, paths):
         (constellation, config, snr, sigma, r, opt_params) for r in range(config.realizations)
     ]
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # kept off the import path
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             per_realization = list(pool.map(_evaluate_realization, tasks))
     else:
@@ -396,7 +427,7 @@ def _run_cell(constellation, config, snr, sigma, opt_params, n_workers, paths):
             "wall_time_s": sum(s[3] for s in scores),
             "shared_time_s": shared_s,
         }
-        _save_cell(paths[algo], doc)
+        _write_json(paths[algo], doc, indent=None)
 
 
 def load_sweep(config: ExperimentConfig, output_dir) -> list[CellResult]:
@@ -418,31 +449,25 @@ def load_sweep(config: ExperimentConfig, output_dir) -> list[CellResult]:
     return results
 
 
-def _save_cell(path: Path, doc: dict) -> None:
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh)
-    tmp.replace(path)
-
-
 def _load_cell(path: Path, snr: float, sigma: float, algo: str) -> CellResult:
-    with open(path) as fh:
-        doc = json.load(fh)
-    median, q25, q75 = aggregate_cell(doc["bmi_values"])
-    return CellResult(
-        snr_db=snr,
-        sigma_theta_sq=sigma,
-        algorithm=algo,
-        bmi_median=median,
-        bmi_q25=q25,
-        bmi_q75=q75,
-        slips_median=float(np.median(doc["slip_counts"])),
-        bmi_values=tuple(doc["bmi_values"]),
-        sigma_opt_values=tuple(doc["sigma_opt_values"]),
-        slip_counts=tuple(int(v) for v in doc["slip_counts"]),
-        wall_time_s=float(doc["wall_time_s"]),
-        shared_time_s=float(doc["shared_time_s"]),
-    )
+    def parse(doc: dict) -> CellResult:
+        median, q25, q75 = aggregate_cell(doc["bmi_values"])
+        return CellResult(
+            snr_db=snr,
+            sigma_theta_sq=sigma,
+            algorithm=algo,
+            bmi_median=median,
+            bmi_q25=q25,
+            bmi_q75=q75,
+            slips_median=float(np.median(doc["slip_counts"])),
+            bmi_values=tuple(doc["bmi_values"]),
+            sigma_opt_values=tuple(doc["sigma_opt_values"]),
+            slip_counts=tuple(int(v) for v in doc["slip_counts"]),
+            wall_time_s=float(doc["wall_time_s"]),
+            shared_time_s=float(doc["shared_time_s"]),
+        )
+
+    return read_json(path, parse)
 
 
 def _fmt(value: float) -> str:
@@ -450,65 +475,57 @@ def _fmt(value: float) -> str:
 
 
 def _write_results_csv(path: Path, results, config: ExperimentConfig, digest: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "config_hash",
-                "snr_db",
-                "sigma_theta_sq",
-                "algorithm",
-                "M",
-                "N",
-                "num_symbols",
-                "realizations",
-                "bmi_median",
-                "bmi_q25",
-                "bmi_q75",
-                "slips_median",
-            ]
-        )
-        for cell in results:
-            writer.writerow(
-                [
-                    digest,
-                    _fmt(cell.snr_db),
-                    _fmt(cell.sigma_theta_sq),
-                    cell.algorithm,
-                    config.num_test_phases,
-                    config.half_window,
-                    config.num_symbols,
-                    config.realizations,
-                    _fmt(cell.bmi_median),
-                    _fmt(cell.bmi_q25),
-                    _fmt(cell.bmi_q75),
-                    _fmt(cell.slips_median),
-                ]
-            )
+    header = [
+        "config_hash",
+        "snr_db",
+        "sigma_theta_sq",
+        "algorithm",
+        "M",
+        "N",
+        "num_symbols",
+        "realizations",
+        "bmi_median",
+        "bmi_q25",
+        "bmi_q75",
+        "slips_median",
+    ]
+    rows = (
+        [
+            digest,
+            _fmt(cell.snr_db),
+            _fmt(cell.sigma_theta_sq),
+            cell.algorithm,
+            config.num_test_phases,
+            config.half_window,
+            config.num_symbols,
+            config.realizations,
+            _fmt(cell.bmi_median),
+            _fmt(cell.bmi_q25),
+            _fmt(cell.bmi_q75),
+            _fmt(cell.slips_median),
+        ]
+        for cell in results
+    )
+    _write_csv(path, header, rows)
 
 
 def _write_realizations_csv(path: Path, results, config: ExperimentConfig) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["snr_db", "sigma_theta_sq", "algorithm", "M", "N", "realization", "bmi", "sigma_opt"]
-        )
-        for cell in results:
-            for r, (bmi_val, sigma_val) in enumerate(
-                zip(cell.bmi_values, cell.sigma_opt_values)
-            ):
-                writer.writerow(
-                    [
-                        _fmt(cell.snr_db),
-                        _fmt(cell.sigma_theta_sq),
-                        cell.algorithm,
-                        config.num_test_phases,
-                        config.half_window,
-                        r,
-                        _fmt(bmi_val),
-                        _fmt(sigma_val),
-                    ]
-                )
+    header = ["snr_db", "sigma_theta_sq", "algorithm", "M", "N", "realization", "bmi", "sigma_opt"]
+    rows = (
+        [
+            _fmt(cell.snr_db),
+            _fmt(cell.sigma_theta_sq),
+            cell.algorithm,
+            config.num_test_phases,
+            config.half_window,
+            r,
+            _fmt(bmi_val),
+            _fmt(sigma_val),
+        ]
+        for cell in results
+        for r, (bmi_val, sigma_val) in enumerate(zip(cell.bmi_values, cell.sigma_opt_values))
+    )
+    _write_csv(path, header, rows)
 
 
 def emit_plot_data(results, config: ExperimentConfig, output_dir) -> list[Path]:
@@ -520,26 +537,60 @@ def emit_plot_data(results, config: ExperimentConfig, output_dir) -> list[Path]:
     written = []
     for sigma in config.sigma_theta_sq:
         path = out_dir / f"bmi_vs_snr_sigma_theta_{sigma:.6g}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["snr_db", *config.algorithms])
-            for snr in config.snr_db:
-                row = [_fmt(snr)]
-                complete = True
-                for algo in config.algorithms:
-                    key = (snr, sigma, algo)
-                    if key not in lookup:
-                        complete = False
-                        break
-                    row.append(_fmt(lookup[key]))
-                if complete:
-                    writer.writerow(row)
+        rows = (
+            [_fmt(snr), *(_fmt(lookup[(snr, sigma, algo)]) for algo in config.algorithms)]
+            for snr in config.snr_db
+            if all((snr, sigma, algo) in lookup for algo in config.algorithms)
+        )
+        _write_csv(path, ["snr_db", *config.algorithms], rows)
         written.append(path)
     if config.trained_params_path is not None:
         path = out_dir / "learned_weights.csv"
         weights_to_csv(_load_opt_params(config), path)
         written.append(path)
     return written
+
+
+def _params_doc(params: BpsOptParams) -> dict:
+    return {
+        "raw_weights": params.raw_weights.tolist(),
+        "raw_temp": params.raw_temp,
+        "weights": params.weights.tolist(),
+        "temperature": params.temperature,
+    }
+
+
+def save_params(params: BpsOptParams, path) -> None:
+    _write_json(path, _params_doc(params))
+
+
+def load_params(path) -> BpsOptParams:
+    return read_json(
+        path,
+        lambda doc: BpsOptParams.from_raw(np.asarray(doc["raw_weights"]), float(doc["raw_temp"])),
+    )
+
+
+def save_report(report: TrainReport, path) -> None:
+    doc = {
+        "params": _params_doc(report.params),
+        "loss_curve": list(report.loss_curve),
+        "val_bmi_curve": list(report.val_bmi_curve),
+        "schedule": asdict(report.schedule),
+        "snr_db": report.snr_db,
+        "sigma_theta_sq": report.sigma_theta_sq,
+        "half_window": report.half_window,
+        "m_count": report.m_count,
+        "diverged": report.diverged,
+    }
+    _write_json(path, doc)
+
+
+def weights_to_csv(params: BpsOptParams, path) -> None:
+    """Window weights as (offset from center, weight) rows."""
+    half = (params.weights.size - 1) // 2
+    rows = ([j - half, f"{weight:.17g}"] for j, weight in enumerate(params.weights))
+    _write_csv(path, ["offset", "weight"], rows)
 
 
 def run_train(

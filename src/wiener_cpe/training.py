@@ -10,10 +10,8 @@ reverse-mode differentiated by hand; no autodiff framework is involved.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -314,49 +312,3 @@ def train(
         m_count=cfg.grid.m_count,
         diverged=diverged,
     )
-
-
-def _params_doc(params: BpsOptParams) -> dict:
-    return {
-        "raw_weights": params.raw_weights.tolist(),
-        "raw_temp": params.raw_temp,
-        "weights": params.weights.tolist(),
-        "temperature": params.temperature,
-    }
-
-
-def save_params(params: BpsOptParams, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(_params_doc(params), fh, indent=2)
-
-
-def load_params(path) -> BpsOptParams:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return BpsOptParams.from_raw(np.asarray(doc["raw_weights"]), float(doc["raw_temp"]))
-
-
-def save_report(report: TrainReport, path) -> None:
-    doc = {
-        "params": _params_doc(report.params),
-        "loss_curve": list(report.loss_curve),
-        "val_bmi_curve": list(report.val_bmi_curve),
-        "schedule": asdict(report.schedule),
-        "snr_db": report.snr_db,
-        "sigma_theta_sq": report.sigma_theta_sq,
-        "half_window": report.half_window,
-        "m_count": report.m_count,
-        "diverged": report.diverged,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def weights_to_csv(params: BpsOptParams, path) -> None:
-    """Window weights as (offset from center, weight) rows."""
-    half = (params.weights.size - 1) // 2
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["offset", "weight"])
-        for j, weight in enumerate(params.weights):
-            writer.writerow([j - half, f"{weight:.17g}"])

@@ -19,8 +19,8 @@ from wiener_cpe import (
     run_train,
 )
 from wiener_cpe import estimators
-from wiener_cpe.experiments import WORKERS_ENV_VAR, aggregate_cell, config_hash
-from wiener_cpe.training import TrainSchedule, save_params
+from wiener_cpe.experiments import WORKERS_ENV_VAR, aggregate_cell, config_hash, save_params
+from wiener_cpe.training import TrainSchedule
 
 
 def _small_config(**overrides):
@@ -515,23 +515,76 @@ class TestCli:
         assert "config error" in out.stderr and "Traceback" not in out.stderr
         assert not (tmp_path / "out").exists()
 
+    # (id, file text or None for no file, text of the message); for
+    # --config, "{}" is a valid empty config and a params doc has unknown keys
+    _NULL_TEMP = json.dumps({"raw_weights": [0.0] * 5, "raw_temp": None})
+    _BAD_PARAMS = [
+        ("missing", None, "FileNotFoundError"),
+        ("truncated", "{", "JSONDecodeError"),
+        ("list", "[1, 2]", "TypeError: expected a JSON object"),
+        ("empty", "{}", "KeyError: 'raw_weights'"),
+        ("null-temp", _NULL_TEMP, "TypeError"),
+    ]
+    _BAD_CONFIGS = [*_BAD_PARAMS[:3], ("null-temp", _NULL_TEMP, "unknown config keys")]
+    _FILE_COMMANDS = [
+        (("eval", "--params"), _BAD_PARAMS),
+        (("sweep", "--algorithms", "bps_opt", "--trained-params"), _BAD_PARAMS),
+        (("sweep", "--config"), _BAD_CONFIGS),
+    ]
+
     @pytest.mark.parametrize(
-        "command",
+        "command, text, message",
         [
-            ("eval", "--params"),
-            ("sweep", "--algorithms", "bps_opt", "--trained-params"),
-            ("sweep", "--config"),
+            # the missing-file case of command i keeps its id, command<i>
+            pytest.param(
+                command, text, message,
+                id=f"command{i}" + ("" if text is None else f"-{name}"),
+            )
+            for i, (command, bad_files) in enumerate(_FILE_COMMANDS)
+            for name, text, message in bad_files
         ],
     )
-    def test_missing_file_exits_1_before_writing(self, tmp_path, command):
+    def test_missing_file_exits_1_before_writing(self, tmp_path, command, text, message):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
         out = self._run(
             command[0], "--order", "16", "--snr-db", "15", "--sigma-theta-sq", "1e-4",
             "--half-window", "2", "--test-phases", "8", "--symbols", "64",
-            *command[1:], str(tmp_path / "nope.json"), "--out", str(tmp_path / "out"),
+            *command[1:], str(path), "--out", str(tmp_path / "out"),
         )
         assert out.returncode == 1, out.stderr
         assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert f"cannot read {path}: " in out.stderr and message in out.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text", ['{"bmi_values": [', '{"bmi_values": "x"}'], ids=["truncated", "not-a-list"]
+    )
+    @pytest.mark.parametrize("command", ["sweep", "plot-data"])
+    def test_damaged_cell_exits_1_naming_it(self, tmp_path, command, text):
+        config = dict(
+            order=16, target_entropy=3.5, snr_db=[12.0, 15.0], sigma_theta_sq=[1e-4],
+            algorithms=["bps"], half_window=4, num_test_phases=8, realizations=1,
+            num_symbols=256, seed=1,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        run_sweep(ExperimentConfig.from_dict(config), out_dir, workers=1)
+        outputs = {name: (out_dir / name).read_bytes() for name in ("results.csv", "run_meta.json")}
+        damaged = sorted((out_dir / "cells").glob("*.json"))[1]
+        damaged.write_text(text)
+
+        if command == "sweep":
+            run = self._run("sweep", "--config", str(cfg_path), "--out", str(out_dir))
+        else:
+            run = self._run("plot-data", "--results", str(out_dir))
+        assert run.returncode == 1, run.stderr
+        assert "config error" in run.stderr and "Traceback" not in run.stderr
+        assert f"cannot read {damaged}: " in run.stderr
+        assert {name: (out_dir / name).read_bytes() for name in outputs} == outputs
+        assert not (out_dir / "plots").exists()
 
     @pytest.mark.parametrize(
         "command",
@@ -579,6 +632,9 @@ class TestCli:
             ("target_entropy", True, "target_entropy: expected float"),
             ("phi0", "0", "phi0: expected float"),
             ("trained_params_path", 5, "trained_params_path: expected str"),
+            # an integer beyond the float range, in a scalar and in a list
+            pytest.param("phi0", 10**400, "phi0: float out of range", id="phi0-1e400"),
+            pytest.param("snr_db", [10**400], "snr_db: float out of range", id="snr_db-1e400"),
             pytest.param(None, 5, "expected a JSON object", id="top-level-5"),
         ],
     )
@@ -596,7 +652,7 @@ class TestCli:
         out = self._run("sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
         assert out.returncode == 1, out.stderr
         assert "config error" in out.stderr and "Traceback" not in out.stderr
-        assert message in out.stderr
+        assert f"cannot read {cfg_path}: " in out.stderr and message in out.stderr
         assert not (tmp_path / "out").exists()
 
     def test_eval_scores_bps_and_bps_opt_only(self, tmp_path):

@@ -1,15 +1,22 @@
-"""Four seeded sweeps against the CSV text recorded in
+"""Four seeded sweeps and one training run against the text recorded in
 ``tests/data/sweep_reference.json`` by ``scripts/record_sweep_reference.py``.
 
 The rule. On the build the reference was recorded on (the same numpy
-version, BLAS build and SIMD extensions) every CSV must match the
-recording byte for byte. On another build, rounding alone may move the last
-bits: two equal-math demapper kernels moved ``sigma_opt`` by about 5e-12 in
-log. So there every BMI column must be within 1e-12 (absolute, in bit), each
-``log sigma_opt`` within 1e-9, and every other column, slip medians
-included, must be equal. These bounds are the contract; a change that moves
-a number past them re-records the reference and bumps ``RESULTS_VERSION``,
-and never widens them.
+version, BLAS build and SIMD extensions) every CSV (``results``,
+``realizations`` and each ``plots/bmi_vs_snr_*``), the training run's
+``params.json``, ``report.json`` and ``weights.csv``, and the sha256 of each
+algorithm's raw estimates must match the recording byte for byte. On another
+build, rounding alone may move the last bits: two equal-math demapper
+kernels moved ``sigma_opt`` by about 5e-12 in log. So there the estimate
+hashes are not compared, every BMI column (a plot CSV's algorithm columns
+are BMI medians) must be within 1e-12 (absolute, in bit), each
+``log sigma_opt`` within 1e-9, and every other CSV column, slip medians
+included, must be equal. The training files there must have the same
+structure and text, with every number within 1e-9 relative: one Adam step
+moves each raw parameter by about the learning rate, whatever the last bits
+of its gradient. These bounds are the contract; a change that moves a number
+past them re-records the reference and bumps ``RESULTS_VERSION``, and never
+widens them.
 """
 
 import csv
@@ -23,10 +30,18 @@ from pathlib import Path
 
 import pytest
 
+from wiener_cpe.experiments import KNOWN_ALGORITHMS
+
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "tests" / "data" / "sweep_reference.json"
 BMI_ATOL = 1e-12
 LOG_SIGMA_ATOL = 1e-9
+TRAIN_RTOL = 1e-9
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(REFERENCE.read_text())
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +73,28 @@ def first_difference(want: str, got: str):
 
 
 def close_enough(column: str, want: str, got: str) -> bool:
-    if column.startswith("bmi"):
+    if column.startswith("bmi") or column in KNOWN_ALGORITHMS:
         return abs(float(want) - float(got)) <= BMI_ATOL
     if column == "sigma_opt":
         return abs(math.log(float(want)) - math.log(float(got))) <= LOG_SIGMA_ATOL
+    if column == "weight":
+        return math.isclose(float(want), float(got), rel_tol=TRAIN_RTOL)
     return want == got
+
+
+def json_mismatch(want, got, where="$"):
+    """The first (place, recorded, fresh) where two JSON values differ by
+    more than ``TRAIN_RTOL`` in a number or at all elsewhere, or None."""
+    numbers = (int, float)
+    if isinstance(want, numbers) and isinstance(got, numbers) and not isinstance(want, bool):
+        return None if math.isclose(want, got, rel_tol=TRAIN_RTOL) else (where, want, got)
+    if isinstance(want, dict) and isinstance(got, dict) and want.keys() == got.keys():
+        children = ((f"{where}.{key}", want[key], got[key]) for key in want)
+    elif isinstance(want, list) and isinstance(got, list) and len(want) == len(got):
+        children = ((f"{where}[{i}]", w, g) for i, (w, g) in enumerate(zip(want, got)))
+    else:
+        return None if want == got else (where, want, got)
+    return next(filter(None, (json_mismatch(w, g, place) for place, w, g in children)), None)
 
 
 def tolerance_mismatch(want: str, got: str):
@@ -82,8 +114,7 @@ def tolerance_mismatch(want: str, got: str):
     return None
 
 
-def test_sweeps_match_the_recorded_reference(fresh):
-    recorded = json.loads(REFERENCE.read_text())
+def test_sweeps_match_the_recorded_reference(fresh, recorded):
     assert fresh["results_version"] == recorded["results_version"], (
         "RESULTS_VERSION changed: re-record tests/data/sweep_reference.json"
     )
@@ -105,6 +136,26 @@ def test_sweeps_match_the_recorded_reference(fresh):
                 )
 
 
+def test_raw_estimates_match_on_the_recorded_build(fresh, recorded):
+    if fresh["build"] != recorded["build"]:
+        pytest.skip("build differs from the recording's: the CSV bounds apply instead")
+    assert fresh["estimates_sha256"] == recorded["estimates_sha256"]
+
+
+def test_training_matches_the_recorded_reference(fresh, recorded):
+    same_build = fresh["build"] == recorded["build"]
+    assert fresh["train"].keys() == recorded["train"].keys()
+    for name, want in recorded["train"].items():
+        got = fresh["train"][name]
+        if same_build:
+            diff = first_difference(want, got)
+        elif name.endswith(".json"):
+            diff = json_mismatch(json.loads(want), json.loads(got))
+        else:
+            diff = tolerance_mismatch(want, got)
+        assert diff is None, f"{name}: first difference {diff}"
+
+
 def test_tolerance_rule_catches_a_moved_digit():
     header = "bmi,sigma_opt,slips_median\r\n"
     table = header + "5.0,0.03,0\r\n"
@@ -117,3 +168,19 @@ def test_tolerance_rule_catches_a_moved_digit():
     assert first_difference(table, header + "5.0,0.031,0\r\n") == (
         2, "5.0,0.03,0\r\n", "5.0,0.031,0\r\n"
     )
+    plot = "snr_db,bps\r\n16,5.0\r\n"
+    assert tolerance_mismatch(plot, "snr_db,bps\r\n16,5.0000000000001\r\n") is None
+    assert tolerance_mismatch(plot, "snr_db,bps\r\n16,5.00000000001\r\n")[1] == "bps"
+    weights = "offset,weight\r\n0,0.5\r\n"
+    assert tolerance_mismatch(weights, "offset,weight\r\n0,0.5000000000001\r\n") is None
+    assert tolerance_mismatch(weights, "offset,weight\r\n0,0.500000001\r\n")[1] == "weight"
+
+
+def test_json_rule_catches_a_moved_number():
+    doc = {"raw_temp": -2.5, "curve": [1.0, 2.0], "diverged": False}
+    assert json_mismatch(doc, {"raw_temp": -2.5000000000001, "curve": [1.0, 2.0],
+                               "diverged": False}) is None
+    assert json_mismatch(doc, {**doc, "curve": [1.0, 2.000001]}) == ("$.curve[1]", 2.0, 2.000001)
+    assert json_mismatch(doc, {**doc, "curve": [1.0]})[0] == "$.curve"
+    assert json_mismatch(doc, {**doc, "diverged": True})[0] == "$.diverged"
+    assert json_mismatch(doc, {"raw_temp": -2.5})[0] == "$"

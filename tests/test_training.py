@@ -19,16 +19,8 @@ from wiener_cpe import (
 )
 from wiener_cpe import bps_opt_estimate, metrics, min_distance_table, training
 from wiener_cpe.metrics import DEFAULT_CLAMP, DEMAP_CHUNK, AxisDemapper
-from wiener_cpe.training import (
-    AdamState,
-    TrainReport,
-    adam_init,
-    adam_step,
-    load_params,
-    save_params,
-    save_report,
-    weights_to_csv,
-)
+from wiener_cpe.experiments import load_params, save_params, save_report, weights_to_csv
+from wiener_cpe.training import AdamState, TrainReport, adam_init, adam_step
 
 from oracles import einsum_training_grad, llr_cross_entropy_grad
 
