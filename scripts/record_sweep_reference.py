@@ -9,9 +9,16 @@ with windowed and with full-sequence BP. For each sweep it stores the
 ``config_hash`` column (which changes with every config field), the text of
 each ``plots/bmi_vs_snr_*.csv`` that ``emit_plot_data`` writes, and the
 sha256 of each algorithm's raw estimates, taken by wrapping the four
-estimator names that ``experiments`` calls. It also runs one seeded
-``run_train`` (16-QAM, one epoch of one 256-symbol batch) and stores the
-text of its ``params.json``, ``report.json`` and ``weights.csv``. Each
+estimator names that ``experiments`` calls. It also stores the sha256 of
+each frame's BP log-marginals, taken by wrapping
+``estimators._chain_log_marginals_windowed`` and
+``_chain_log_marginals_full``: a constant can move log-marginals without
+moving any argmax. It runs one seeded ``run_train`` (16-QAM, one epoch of
+one 256-symbol batch) and stores the text of its ``params.json``,
+``report.json`` and ``weights.csv``, and ``training.grad`` at that batch's
+starting parameters (each entry printed with 17 significant digits, and
+the sha256 of the float64 vector): one Adam step keeps little more of the
+gradient than its sign. Each
 record carries the ``RESULTS_VERSION``, numpy version, BLAS build and SIMD
 extensions it ran on. Run it with one BLAS thread, since log-marginals
 depend on the BLAS thread count:
@@ -22,6 +29,7 @@ Re-record only in a change that says why its numbers moved.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import tempfile
@@ -30,7 +38,15 @@ from pathlib import Path
 
 import numpy as np
 
-from wiener_cpe import ExperimentConfig, emit_plot_data, experiments, run_sweep, run_train
+from wiener_cpe import (
+    ExperimentConfig,
+    emit_plot_data,
+    estimators,
+    experiments,
+    run_sweep,
+    run_train,
+    training,
+)
 from wiener_cpe.experiments import RESULTS_VERSION
 from wiener_cpe.training import TrainSchedule
 
@@ -71,6 +87,7 @@ ESTIMATORS = {
     "map_bp_estimate": "map_bp",
     "bps_opt_estimate": "bps_opt",
 }
+CHAINS = ("_chain_log_marginals_windowed", "_chain_log_marginals_full")
 
 
 def sweep_configs() -> dict:
@@ -105,37 +122,79 @@ def text(path: Path) -> str:
     return path.read_bytes().decode()
 
 
-def hashed_sweep(config: ExperimentConfig, out_dir: Path) -> dict:
-    """Run one sweep on one worker with each estimator wrapped, and return
-    the sha256 of each algorithm's raw estimates in call order."""
-    digests = {algo: hashlib.sha256() for algo in ESTIMATORS.values()}
+def sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
 
-    def wrap(fn, algo):
-        def wrapped(*args, **kwargs):
+
+@contextlib.contextmanager
+def wrapped(module, names, record):
+    """Route each of ``names`` in ``module`` through ``record(name, out)``
+    for the duration of the block."""
+
+    def wrap(name, fn):
+        def call(*args, **kwargs):
             out = fn(*args, **kwargs)
-            digests[algo].update(np.ascontiguousarray(out, dtype=np.float64).tobytes())
+            record(name, out)
             return out
 
-        return wrapped
+        return call
 
-    saved = {name: getattr(experiments, name) for name in ESTIMATORS}
+    saved = {name: getattr(module, name) for name in names}
     for name, fn in saved.items():
-        setattr(experiments, name, wrap(fn, ESTIMATORS[name]))
+        setattr(module, name, wrap(name, fn))
     try:
-        results = run_sweep(config, out_dir, workers=1)
+        yield
     finally:
         for name, fn in saved.items():
-            setattr(experiments, name, fn)
+            setattr(module, name, fn)
+
+
+def hashed_sweep(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list]:
+    """Run one sweep on one worker with the estimators and BP chains
+    wrapped. Returns the sha256 of each algorithm's raw estimates in call
+    order, and the sha256 of each frame's log-marginals."""
+    digests = {algo: hashlib.sha256() for algo in ESTIMATORS.values()}
+    frames = []
+
+    def on_estimate(name, out):
+        digests[ESTIMATORS[name]].update(np.ascontiguousarray(out, dtype=np.float64).tobytes())
+
+    with (
+        wrapped(experiments, ESTIMATORS, on_estimate),
+        wrapped(estimators, CHAINS, lambda name, out: frames.append(sha256(out))),
+    ):
+        results = run_sweep(config, out_dir, workers=1)
     emit_plot_data(results, config, out_dir / "plots")
-    return {algo: digests[algo].hexdigest() for algo in config.algorithms}
+    return {algo: digests[algo].hexdigest() for algo in config.algorithms}, frames
+
+
+def trained(model: Path) -> dict:
+    """Run the reference training into ``model`` and return ``grad`` at its
+    first batch and starting parameters."""
+    batches = []
+    forward_backward = training._forward_backward
+
+    def recording(params, trace, cfg, constellation, want_grad, *args, **kwargs):
+        if want_grad and not batches:
+            batches.append((params, trace, cfg, constellation))
+        return forward_backward(params, trace, cfg, constellation, want_grad, *args, **kwargs)
+
+    training._forward_backward = recording
+    try:
+        run_train(TRAIN_CONFIG, TRAIN_SCHEDULE, model)
+    finally:
+        training._forward_backward = forward_backward
+    g_w, g_t = training.grad(*batches[0])
+    gradient = np.concatenate([g_w, [g_t]])
+    return {"values": [format(v, ".17g") for v in gradient], "sha256": sha256(gradient)}
 
 
 def record() -> dict:
-    sweeps, estimates = {}, {}
+    sweeps, estimates, log_marginals = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in sweep_configs().items():
             out_dir = Path(tmp) / name
-            estimates[name] = hashed_sweep(config, out_dir)
+            estimates[name], log_marginals[name] = hashed_sweep(config, out_dir)
             sweeps[name] = {
                 "results": without_hash_column(text(out_dir / "results.csv")),
                 "realizations": text(out_dir / "realizations.csv"),
@@ -143,14 +202,16 @@ def record() -> dict:
             for plot in sorted((out_dir / "plots").glob("bmi_vs_snr_*.csv")):
                 sweeps[name][f"plots/{plot.stem}"] = text(plot)
         model = Path(tmp) / "model"
-        run_train(TRAIN_CONFIG, TRAIN_SCHEDULE, model)
+        gradient = trained(model)
         train = {name: text(model / name) for name in ("params.json", "report.json", "weights.csv")}
     return {
         "results_version": RESULTS_VERSION,
         "build": build_info(),
         "sweeps": sweeps,
         "estimates_sha256": estimates,
+        "log_marginals_sha256": log_marginals,
         "train": train,
+        "train_grad": gradient,
     }
 
 

@@ -81,7 +81,10 @@ def _schedule_from_args(args) -> TrainSchedule:
         value = getattr(args, f"sched_{field.name}", None)
         if value is not None:
             kwargs[field.name] = value
-    return TrainSchedule(**kwargs)
+    try:
+        return TrainSchedule(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_parser() -> _Parser:

@@ -194,14 +194,18 @@ def maxwell_boltzmann_shape(c: Constellation, lam: float) -> Constellation:
 
     The exponent is evaluated on the unit-spacing lattice geometry; the
     points are then rescaled so the average energy under the new
-    probabilities is one.
+    probabilities is one. A lam that puts every weight under the 1e-300
+    floor (above about 345 for square QAM) would unshape it, and is rejected.
     """
-    if lam < 0:
-        raise ValueError("shaping parameter must be nonnegative")
+    if not lam >= 0:
+        raise ValueError(f"shaping parameter must be a nonnegative number, got {lam}")
     base = _lattice_geometry(c.points)
+    weights = np.exp(-lam * np.abs(base) ** 2)
+    if not weights.max() >= 1e-300:
+        raise ValueError(f"shaping parameter {lam} underflows every point's weight below 1e-300")
     # floor keeps probabilities strictly positive when exp underflows at
     # large lam; the added mass is far below every tolerance in use
-    weights = np.maximum(np.exp(-lam * np.abs(base) ** 2), 1e-300)
+    weights = np.maximum(weights, 1e-300)
     probs = weights / weights.sum()
     energy = float(np.sum(probs * np.abs(base) ** 2))
     return Constellation(base / math.sqrt(energy), probs, c.bit_labels, c.sym_order)

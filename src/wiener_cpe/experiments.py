@@ -445,12 +445,17 @@ def load_sweep(config: ExperimentConfig, output_dir) -> list[CellResult]:
                         f"missing cell {path} (snr_db={snr}, sigma_theta_sq={sigma}, "
                         f"algorithm={algo}); rerun the sweep to compute it"
                     )
-                results.append(_load_cell(path, snr, sigma, algo))
+                results.append(_load_cell(path, snr, sigma, algo, config.realizations))
     return results
 
 
-def _load_cell(path: Path, snr: float, sigma: float, algo: str) -> CellResult:
+def _load_cell(path: Path, snr: float, sigma: float, algo: str, realizations: int) -> CellResult:
     def parse(doc: dict) -> CellResult:
+        for key in ("bmi_values", "sigma_opt_values", "slip_counts"):
+            if not isinstance(doc[key], list) or len(doc[key]) != realizations:
+                raise ValueError(f"{key} must hold {realizations} entries, got {doc[key]!r}")
+        if not all(type(v) is int for v in doc["slip_counts"]):
+            raise TypeError(f"slip_counts must be integers, got {doc['slip_counts']!r}")
         median, q25, q75 = aggregate_cell(doc["bmi_values"])
         return CellResult(
             snr_db=snr,
@@ -462,7 +467,7 @@ def _load_cell(path: Path, snr: float, sigma: float, algo: str) -> CellResult:
             slips_median=float(np.median(doc["slip_counts"])),
             bmi_values=tuple(doc["bmi_values"]),
             sigma_opt_values=tuple(doc["sigma_opt_values"]),
-            slip_counts=tuple(int(v) for v in doc["slip_counts"]),
+            slip_counts=tuple(doc["slip_counts"]),
             wall_time_s=float(doc["wall_time_s"]),
             shared_time_s=float(doc["shared_time_s"]),
         )

@@ -9,17 +9,17 @@ import numpy as np
 
 from .constellation import AxisDecomposition, Constellation, entropy_bits
 
-# symbols per demapper block: the variance search, the training loss and
-# ``llrs`` all run the kernel on blocks of this many symbols
+# symbols per block of ``demapper_blocks``, which the variance search, the
+# training loss and ``llrs`` all score with
 DEMAP_CHUNK = 8192
 _LN2 = math.log(2.0)
 
-DEFAULT_CLAMP = 50.0
+# every LLR is clipped to +-LLR_CLAMP; the kernel reads it at each call
+LLR_CLAMP = 50.0
 SIGMA_SQ_RANGE = (1e-6, 10.0)
 # e^-700 is a normal double, clear of the exponent range below about -707.8
 # where numpy's exp leaves its fast path
 _WEIGHT_FLOOR = -700.0
-_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,7 @@ class BmiReport:
     degenerate: bool = False
 
 
-def llrs(
-    x_hat,
-    constellation: Constellation,
-    sigma_demap_sq: float,
-    clamp: float = DEFAULT_CLAMP,
-) -> np.ndarray:
+def llrs(x_hat, constellation: Constellation, sigma_demap_sq: float) -> np.ndarray:
     """(K, m) bit-level LLRs of a mismatched circular-Gaussian demapper,
     with the convention L = log P(b=0)/P(b=1).
 
@@ -53,20 +48,30 @@ def llrs(
             - log [ sum_{x: bit_b(x)=1} P(x) e^{-|x_hat_k - x|^2 / sigma^2} ]
 
     Shaped symbol priors enter both class sums; everything is computed with
-    log-sum-exp and clamped to +-clamp. The constellation must be separable
-    (see ``Constellation.axis_decomposition``): each bit then depends on one
-    axis only, since the other axis's sum cancels in the ratio, and the sums
-    run over that axis's levels.
+    log-sum-exp and clamped to +-``LLR_CLAMP``. The constellation must be
+    separable (see ``Constellation.axis_decomposition``): each bit then
+    depends on one axis only, since the other axis's sum cancels in the
+    ratio, and the sums run over that axis's levels.
     """
     if sigma_demap_sq <= 0:
         raise ValueError("sigma_demap_sq must be positive")
     x_hat = np.asarray(x_hat, dtype=np.complex128)
-    axes = constellation.axis_decomposition()
     out = np.empty((x_hat.size, constellation.bits_per_symbol))
-    for start in range(0, x_hat.size, DEMAP_CHUNK):
-        stop = min(start + DEMAP_CHUNK, x_hat.size)
-        out[start:stop] = AxisDemapper(x_hat[start:stop], axes).llrs(sigma_demap_sq, clamp).T
+    for rows, block in demapper_blocks(x_hat, constellation):
+        out[rows] = block.llrs(sigma_demap_sq).T
     return out
+
+
+def demapper_blocks(
+    x_hat: np.ndarray, constellation: Constellation, bits: np.ndarray | None = None
+):
+    """Yield (rows, AxisDemapper) for each block of ``DEMAP_CHUNK`` symbols
+    of ``x_hat`` (with their ``bits``), building each block only when it is
+    reached; ``rows`` is the block's slice of the frame."""
+    axes = constellation.axis_decomposition()
+    for start in range(0, x_hat.size, DEMAP_CHUNK):
+        rows = slice(start, start + DEMAP_CHUNK)
+        yield rows, AxisDemapper(x_hat[rows], axes, None if bits is None else bits[rows])
 
 
 class AxisDemapper:
@@ -87,20 +92,20 @@ class AxisDemapper:
     slower. With w_l = e^z_l, a bit's class sums are the two rows of
     ``selector @ w`` that its 0 and its 1 pick. S_correct is the row that
     the symbol's bit picks, S_wrong the other one, and S_total their sum.
-    ``llrs`` returns L = log S_0 - log S_1 clipped to +-clamp.
-    ``cross_entropy`` sums, per bit, clip(log S_total - log S_correct,
-    softplus(-clamp), softplus(clamp)), computed as log1p(S_wrong /
+    With c = ``LLR_CLAMP``, ``llrs`` returns L = log S_0 - log S_1
+    clipped to +-c. ``cross_entropy`` sums, per bit, clip(log S_total -
+    log S_correct, softplus(-c), softplus(c)), computed as log1p(S_wrong /
     S_correct) so that it keeps its relative precision far below 1 nat.
     For a bit of sign s the raw value is softplus(-s L), and softplus is
-    increasing, so this equals softplus(-s clip(L, -clamp, clamp)): a bit
-    is clipped where its LLR is clamped, up to rounding.
+    increasing, so this equals softplus(-s clip(L, -c, c)): a bit is
+    clipped where its LLR is clamped, up to rounding.
 
     The floor moves no value within the clamp. It adds less than n e^-700
-    to a class sum, while both class sums of a bit with |L| <= clamp, which
-    takes in every unclipped bit, are at least e^-clamp (one of them holds
-    the peak weight 1). That is a relative change below 2^-54, a quarter
-    ulp, whenever clamp <= 700 - ln n - 54 ln 2 (660 for 8 levels); for a
-    larger clamp no floor is applied.
+    to a class sum, while both class sums of a bit with |L| <= c, which
+    takes in every unclipped bit, are at least e^-c (one of them holds the
+    peak weight 1). That is a relative change below 2^-54, a quarter ulp,
+    whenever c <= 700 - ln n - 54 ln 2: 659.8 for the 16 levels of
+    256-QAM, the most of any order here, against c = 50.
     """
 
     def __init__(self, x_hat: np.ndarray, axes: AxisDecomposition, bits: np.ndarray | None = None):
@@ -121,76 +126,68 @@ class AxisDemapper:
                 rows = 2 * np.arange(cols.size)[:, None] + bits[:, cols].T
                 self._picks.append((rows * x_hat.size + offset, (rows ^ 1) * x_hat.size + offset))
 
-    def _class_sums(self, axis: int, sigma_sq: float, clamp: float) -> np.ndarray:
+    def _class_sums(self, axis: int, sigma_sq: float) -> np.ndarray:
         """(2m, K) class sums of one axis; leaves w in ``_weights[axis]``."""
-        log_prior = self._axes.log_priors[axis]
         weights = self._weights[axis]
         np.multiply(self._d2[axis], -1.0 / sigma_sq, out=weights)
-        weights += log_prior[:, None]
+        weights += self._axes.log_priors[axis][:, None]
         weights -= weights.max(axis=0)
-        if clamp <= -_WEIGHT_FLOOR - math.log(log_prior.size) - 54.0 * _LN2:
-            np.maximum(weights, _WEIGHT_FLOOR, out=weights)
+        np.maximum(weights, _WEIGHT_FLOOR, out=weights)
         np.exp(weights, out=weights)
         return self._selectors[axis] @ weights
 
-    def llrs(self, sigma_sq: float, clamp: float) -> np.ndarray:
-        """(m, K) LLRs at demapper variance ``sigma_sq``, clamped to +-clamp."""
+    def llrs(self, sigma_sq: float) -> np.ndarray:
+        """(m, K) LLRs at demapper variance ``sigma_sq``, clamped to +-``LLR_CLAMP``."""
         raw = np.empty((sum(cols.size for cols in self._axes.bit_columns), self._d2[0].shape[1]))
         for axis, cols in enumerate(self._axes.bit_columns):
-            # the column peak cancels in the ratio; a class whose mass
-            # underflows relative to it yields an infinite LLR, removed by
-            # the clamp
-            with np.errstate(divide="ignore"):
-                log_sums = np.log(self._class_sums(axis, sigma_sq, clamp))
+            # the column peak cancels in the ratio; the floor keeps every
+            # class sum at e^-700 or more, so each log is finite
+            log_sums = np.log(self._class_sums(axis, sigma_sq))
             raw[cols] = log_sums[0::2] - log_sums[1::2]
-        return np.clip(raw, -clamp, clamp)
+        return np.clip(raw, -LLR_CLAMP, LLR_CLAMP)
 
-    def _penalties(self, axis: int, sigma_sq: float, clamp: float):
+    def _penalties(self, axis: int, sigma_sq: float):
         """(raw, S_correct, S_wrong) of one axis, where raw is the (m, K)
         unclipped cross entropy log S_total - log S_correct."""
-        sums = self._class_sums(axis, sigma_sq, clamp)
+        sums = self._class_sums(axis, sigma_sq)
         s_correct, s_wrong = (sums.take(picks) for picks in self._picks[axis])
-        # S_correct = 0 (no floor, all mass in the wrong class) gives +inf,
-        # which the clip turns into softplus(clamp)
-        with np.errstate(divide="ignore"):
-            raw = np.divide(s_wrong, s_correct)
+        raw = np.divide(s_wrong, s_correct)
         np.log1p(raw, out=raw)
         return raw, s_correct, s_wrong
 
-    def cross_entropy(self, sigma_sq: float, clamp: float, flat_only: bool = False) -> float | None:
+    def cross_entropy(self, sigma_sq: float, flat_only: bool = False) -> float | None:
         """Summed per-bit cross entropy in nats, each bit's clipped to
-        [softplus(-clamp), softplus(clamp)]. With ``flat_only`` it returns
-        None at the first axis with a bit above softplus(-clamp)."""
-        low, high = _penalty_range(clamp)
+        [softplus(-c), softplus(c)] for c = ``LLR_CLAMP``. With ``flat_only``
+        it returns None at the first axis with a bit above softplus(-c)."""
+        low, high = _penalty_range()
         total = 0.0
         for axis in range(2):
-            raw = self._penalties(axis, sigma_sq, clamp)[0]
+            raw = self._penalties(axis, sigma_sq)[0]
             if flat_only and np.any(raw > low):
                 return None
             total += float(np.clip(raw, low, high, out=raw).sum())
         return total
 
-    def cross_entropy_grad(self, sigma_sq: float, clamp: float):
+    def cross_entropy_grad(self, sigma_sq: float):
         """(``cross_entropy``, its derivatives in Re x_hat and in Im x_hat).
 
         d CE_b / d z_l = w_l / S_total - [l in correct_b] w_l / S_correct_b,
         and d z_l / d x = -2 (x - level_l) / sigma^2. A clipped bit is
         constant in x_hat and passes no gradient.
         """
-        low, high = _penalty_range(clamp)
+        low, high = _penalty_range()
         total = 0.0
         grads = []
         for axis in range(2):
-            raw, s_correct, s_wrong = self._penalties(axis, sigma_sq, clamp)
+            raw, s_correct, s_wrong = self._penalties(axis, sigma_sq)
             kept = (raw >= low) & (raw <= high)
             total += float(np.clip(raw, low, high, out=raw).sum())
             # per kept bit, w_l / S_total on the wrong class's levels and
             # w_l (1 / S_total - 1 / S_correct) = -w_l (S_wrong / S_correct)
-            # / S_total on the correct class's; 0 on clipped bits, whose
-            # S_correct may be 0 (S_total >= 1, as it holds the peak weight)
+            # / S_total on the correct class's; 0 on clipped bits
             on_wrong = kept / (s_correct + s_wrong)
             on_correct = on_wrong * s_wrong
-            on_correct /= -np.maximum(s_correct, _TINY)
+            on_correct /= -s_correct
             coef = np.empty((2 * raw.shape[0], raw.shape[1]))
             coef.put(self._picks[axis][0], on_correct)
             coef.put(self._picks[axis][1], on_wrong)
@@ -201,11 +198,12 @@ class AxisDemapper:
         return total, grads[0], grads[1]
 
 
-def _penalty_range(clamp: float) -> tuple[float, float]:
-    """(softplus(-clamp), softplus(clamp)): the cross entropy of a bit whose
-    LLR sits at the clamp with the correct sign, and with the wrong one."""
-    low = math.log1p(math.exp(-clamp))
-    return low, clamp + low
+def _penalty_range() -> tuple[float, float]:
+    """(softplus(-c), softplus(c)) for c = ``LLR_CLAMP``: the cross entropy
+    of a bit whose LLR sits at the clamp with the correct sign, and with
+    the wrong one."""
+    low = math.log1p(math.exp(-LLR_CLAMP))
+    return low, LLR_CLAMP + low
 
 
 def _class_selector(level_bits: np.ndarray) -> np.ndarray:
@@ -306,7 +304,6 @@ def optimize_demapper_variance(
     x_hat,
     bits,
     constellation: Constellation,
-    clamp: float = DEFAULT_CLAMP,
     edge_excluded: bool = False,
 ) -> tuple[float, BmiReport]:
     """Maximize BMI over the demapper noise variance.
@@ -317,15 +314,15 @@ def optimize_demapper_variance(
     A frame of identical symbols cannot carry information about the
     variance and is returned flagged as degenerate.
 
-    The frame is scored in blocks of ``DEMAP_CHUNK`` symbols by
+    The frame is scored in the blocks of ``demapper_blocks``, all kept, by
     ``AxisDemapper.cross_entropy``. The smallest variance, 1e-6, is probed
     first. If every bit's cross entropy there sits at its floor
-    softplus(-clamp), which no variance can undercut since the kernel clips
-    at it, the BMI is flat at its maximum and 1e-6 is returned without a
-    search. Such frames (noiseless, or 24 dB at small phase noise) would
-    otherwise get an arbitrary point of the flat top. The probe stops at the
-    first block and axis with a bit above the floor, so on other frames it
-    costs a fraction of one evaluation.
+    softplus(-``LLR_CLAMP``), which no variance can undercut since the
+    kernel clips at it, the BMI is flat at its maximum and 1e-6 is returned
+    without a search. Such frames (noiseless, or 24 dB at small phase
+    noise) would otherwise get an arbitrary point of the flat top. The
+    probe stops at the first block and axis with a bit above the floor, so
+    on other frames it costs a fraction of one evaluation.
     """
     x_hat = np.asarray(x_hat, dtype=np.complex128)
     bits = np.asarray(bits)
@@ -334,18 +331,14 @@ def optimize_demapper_variance(
     if bits.shape != (x_hat.size, constellation.bits_per_symbol):
         raise ValueError("bits must have one row of bits_per_symbol labels per symbol")
     degenerate = bool(np.all(x_hat == x_hat.flat[0]))
-    axes = constellation.axis_decomposition()
-    blocks = [
-        AxisDemapper(x_hat[start : start + DEMAP_CHUNK], axes, bits[start : start + DEMAP_CHUNK])
-        for start in range(0, x_hat.size, DEMAP_CHUNK)
-    ]
+    blocks = [block for _, block in demapper_blocks(x_hat, constellation, bits)]
     entropy = entropy_bits(constellation.probs)
     scale = 1.0 / (x_hat.size * _LN2)
 
     def penalty(sigma_sq: float, flat_only: bool = False) -> float | None:
         total = 0.0
         for block in blocks:
-            part = block.cross_entropy(sigma_sq, clamp, flat_only)
+            part = block.cross_entropy(sigma_sq, flat_only)
             if part is None:
                 return None
             total += part

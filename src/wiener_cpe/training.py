@@ -24,7 +24,7 @@ from .estimators import (
     softmin_readout,
     window_sums_weight_grad,
 )
-from .metrics import DEFAULT_CLAMP, DEMAP_CHUNK, AxisDemapper
+from .metrics import demapper_blocks
 from .postproc import cycle_slip_correct
 
 _LN2 = math.log(2.0)
@@ -56,8 +56,8 @@ class TrainSchedule:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and nonnegative, got {self.lr}")
 
     def batches_for_epoch(self, epoch: int) -> int:
         frac = 0.0 if self.epochs == 1 else epoch / (self.epochs - 1)
@@ -128,7 +128,6 @@ def _forward_backward(
     constellation: Constellation,
     want_grad: bool,
     loss_kind: str = "bce",
-    clamp: float = DEFAULT_CLAMP,
 ):
     y = trace.rx_symbols
     size = y.size
@@ -157,18 +156,15 @@ def _forward_backward(
             g_phi = 2.0 * residual / size
     else:
         sigma_sq = max(trace.sigma_n_sq, 1e-12)
-        axes = constellation.axis_decomposition()
         total_loss = 0.0
-        for start in range(0, size, DEMAP_CHUNK):
-            stop = min(start + DEMAP_CHUNK, size)
-            xc = x_hat[start:stop]
-            demapper = AxisDemapper(xc, axes, trace.bits[start:stop])
+        for rows, demapper in demapper_blocks(x_hat, constellation, trace.bits):
             if want_grad:
-                part, g_u, g_v = demapper.cross_entropy_grad(sigma_sq, clamp)
+                part, g_u, g_v = demapper.cross_entropy_grad(sigma_sq)
                 # d x_hat / d phi = -j x_hat
-                g_phi[start:stop] = (g_u * xc.imag - g_v * xc.real) / size
+                xc = x_hat[rows]
+                g_phi[rows] = (g_u * xc.imag - g_v * xc.real) / size
             else:
-                part = demapper.cross_entropy(sigma_sq, clamp)
+                part = demapper.cross_entropy(sigma_sq)
             total_loss += part
         total_loss /= size
 
@@ -202,13 +198,12 @@ def loss(
     cfg: EstimatorConfig,
     constellation: Constellation,
     loss_kind: str = "bce",
-    clamp: float = DEFAULT_CLAMP,
 ) -> float:
     """Training loss on one batch: mean (over symbols) of the summed per-bit
     binary cross entropies in nats, so an all-zero-LLR frame scores
     m*log(2). Differentiable in the raw parameters."""
     value, _, _ = _forward_backward(
-        params, batch_trace, cfg, constellation, want_grad=False, loss_kind=loss_kind, clamp=clamp
+        params, batch_trace, cfg, constellation, want_grad=False, loss_kind=loss_kind
     )
     return value
 
@@ -219,7 +214,6 @@ def grad(
     cfg: EstimatorConfig,
     constellation: Constellation,
     loss_kind: str = "bce",
-    clamp: float = DEFAULT_CLAMP,
 ) -> tuple[np.ndarray, float]:
     """Exact reverse-mode gradient of ``loss`` w.r.t. (raw_weights, raw_temp).
 
@@ -228,7 +222,7 @@ def grad(
     implemented forward almost everywhere.
     """
     _, g_w, g_t = _forward_backward(
-        params, batch_trace, cfg, constellation, want_grad=True, loss_kind=loss_kind, clamp=clamp
+        params, batch_trace, cfg, constellation, want_grad=True, loss_kind=loss_kind
     )
     return g_w, g_t
 

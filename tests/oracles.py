@@ -20,10 +20,11 @@ from wiener_cpe import (
 )
 from wiener_cpe.channel import ChannelTrace
 from wiener_cpe.constellation import Constellation, entropy_bits
+from wiener_cpe import metrics
 from wiener_cpe.estimators import _DEGENERATE_Q_FLOOR, PhaseGrid
 from wiener_cpe.metrics import (
-    DEFAULT_CLAMP,
     DEMAP_CHUNK,
+    LLR_CLAMP,
     SIGMA_SQ_RANGE,
     AxisDemapper,
     BmiReport,
@@ -249,15 +250,23 @@ def unfloored_axis_llrs(x_hat, constellation: Constellation, sigma_sq: float, cl
     return np.clip(raw, -clamp, clamp)
 
 
+def kernel_llrs(demapper: AxisDemapper, sigma_sq: float, clamp: float) -> np.ndarray:
+    """``demapper.llrs`` clipped to +-clamp. The kernel has already clipped
+    them to +-``metrics.LLR_CLAMP``, so clamp may not exceed it; a test of
+    a smaller clamp sets ``metrics.LLR_CLAMP`` to it."""
+    assert clamp <= metrics.LLR_CLAMP
+    return np.clip(demapper.llrs(sigma_sq), -clamp, clamp)
+
+
 def llr_penalty(demapper: AxisDemapper, bits, sigma_sq: float, clamp: float) -> float:
     """Summed per-bit cross entropy in nats in the LLR arithmetic that the
     cross-entropy kernel replaced: clamped ``AxisDemapper.llrs`` times the
     negated bit signs, softplus, and one sum."""
-    llr = demapper.llrs(sigma_sq, clamp)
+    llr = kernel_llrs(demapper, sigma_sq, clamp)
     return float(softplus(llr * -bit_signs(np.asarray(bits)).T).sum())
 
 
-def llr_variance_search(x_hat, bits, constellation: Constellation, clamp: float = DEFAULT_CLAMP):
+def llr_variance_search(x_hat, bits, constellation: Constellation, clamp: float = LLR_CLAMP):
     """(sigma_opt, BMI clamped into [0, H]) of the demapper-variance search
     scored with ``llr_penalty`` on the whole frame as one block: the
     geometric-mean variance for a frame of identical symbols, the flat-top
@@ -275,7 +284,9 @@ def llr_variance_search(x_hat, bits, constellation: Constellation, clamp: float 
     if np.all(x_hat == x_hat[0]):
         sigma_sq = math.sqrt(SIGMA_SQ_RANGE[0] * SIGMA_SQ_RANGE[1])
         best = score(math.log(sigma_sq))
-    elif np.all(demapper.llrs(SIGMA_SQ_RANGE[0], clamp) * bit_signs(np.asarray(bits)).T == clamp):
+    elif np.all(
+        kernel_llrs(demapper, SIGMA_SQ_RANGE[0], clamp) * bit_signs(np.asarray(bits)).T == clamp
+    ):
         sigma_sq, best = SIGMA_SQ_RANGE[0], score(lo)
     else:
         log_best, best = _brent_max(score, lo, hi, tol=1e-4)
@@ -294,7 +305,7 @@ def llr_cross_entropy_grad(x_hat, bits, constellation: Constellation, sigma_sq, 
     axes = constellation.axis_decomposition()
     demapper = AxisDemapper(x_hat, axes)
     sign = bit_signs(np.asarray(bits)).T
-    llr = demapper.llrs(sigma_sq, clamp)
+    llr = kernel_llrs(demapper, sigma_sq, clamp)
     total = float(softplus(-sign * llr).sum())
     g_llr = -sign * expit(-sign * llr)
     grads = []
@@ -367,7 +378,7 @@ def einsum_training_grad(
     trace: ChannelTrace,
     cfg: EstimatorConfig,
     constellation: Constellation,
-    clamp: float = DEFAULT_CLAMP,
+    clamp: float = LLR_CLAMP,
     chunk: int = DEMAP_CHUNK,
 ):
     """(loss, raw weight gradient, raw temperature gradient) of the bce

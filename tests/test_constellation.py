@@ -93,6 +93,14 @@ class TestShaping:
         with pytest.raises(ValueError):
             maxwell_boltzmann_shape(qam64, -0.1)
 
+    @pytest.mark.parametrize("lam", [math.nan, 400.0, math.inf])
+    def test_lambda_that_cannot_shape_rejected(self, qam64, lam):
+        # from about 345 on, every weight, e^-2 lam at the innermost points,
+        # falls below the 1e-300 floor, which would make every point equal
+        with pytest.raises(ValueError, match="shaping parameter"):
+            maxwell_boltzmann_shape(qam64, lam)
+        assert entropy_bits(maxwell_boltzmann_shape(qam64, 300.0).probs) == pytest.approx(2.0)
+
     @pytest.mark.parametrize("lam", [0.0, 0.01, 0.05, 0.1, 0.5, 2.0])
     def test_shaping_preserves_invariants(self, qam64, lam):
         shaped = maxwell_boltzmann_shape(qam64, lam)  # __post_init__ validates

@@ -503,6 +503,9 @@ class TestCli:
             ("--sigma-theta-sq", "1e-4", "1.00000001e-4"),
             ("--snr-db", "15", "15"),
             ("--algorithms", "bps", "cpn", "bps"),
+            ("--mb-lambda", "nan"),
+            ("--mb-lambda", "400"),
+            ("--mb-lambda", "inf"),
         ],
     )
     def test_invalid_values_exit_1_before_writing(self, tmp_path, flags):
@@ -513,6 +516,9 @@ class TestCli:
         )
         assert out.returncode == 1, out.stderr
         assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert "Warning" not in out.stderr
+        if flags[0] == "--mb-lambda":
+            assert "shaping parameter" in out.stderr
         assert not (tmp_path / "out").exists()
 
     # (id, file text or None for no file, text of the message); for
@@ -558,8 +564,20 @@ class TestCli:
         assert f"cannot read {path}: " in out.stderr and message in out.stderr
         assert not (tmp_path / "out").exists()
 
+    _TIMES = '"wall_time_s": 0.1, "shared_time_s": 0.1'
+
     @pytest.mark.parametrize(
-        "text", ['{"bmi_values": [', '{"bmi_values": "x"}'], ids=["truncated", "not-a-list"]
+        "text",
+        [
+            '{"bmi_values": [',
+            '{"bmi_values": "x"}',
+            # two BMIs in a one-realization cell, and no slips or variances
+            '{"bmi_values": [1.0, 2.0], "sigma_opt_values": [], "slip_counts": [], '
+            + _TIMES + "}",
+            '{"bmi_values": [1.0], "sigma_opt_values": [0.01], "slip_counts": [1.5], '
+            + _TIMES + "}",
+        ],
+        ids=["truncated", "not-a-list", "wrong-length", "fractional-slips"],
     )
     @pytest.mark.parametrize("command", ["sweep", "plot-data"])
     def test_damaged_cell_exits_1_naming_it(self, tmp_path, command, text):
@@ -609,6 +627,23 @@ class TestCli:
         )
         assert out.returncode == 1, out.stderr
         assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--epochs", "0"), ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf")],
+        ids=["epochs-0", "lr-negative", "lr-nan", "lr-inf"],
+    )
+    def test_invalid_schedule_exits_1_before_writing(self, tmp_path, flags):
+        out = self._run(
+            "train", "--order", "16", "--snr-db", "15", "--sigma-theta-sq", "1e-4",
+            "--half-window", "2", "--test-phases", "8", "--symbols", "64", "--epochs", "1",
+            "--batches-start", "1", "--batches-end", "1", "--batch-symbols-start", "256",
+            "--batch-symbols-end", "256", *flags, "--out", str(tmp_path / "out"),
+        )
+        assert out.returncode == 1, out.stderr
+        assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert flags[0].lstrip("-") in out.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

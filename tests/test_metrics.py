@@ -18,11 +18,11 @@ from wiener_cpe import (
     shape_for_entropy,
     transmit,
 )
-from wiener_cpe.constellation import entropy_bits
+from wiener_cpe.constellation import SQUARE_QAM_ORDERS, entropy_bits
 from wiener_cpe import metrics
 from wiener_cpe.metrics import (
-    DEFAULT_CLAMP,
     DEMAP_CHUNK,
+    LLR_CLAMP,
     SIGMA_SQ_RANGE,
     AxisDemapper,
     _brent_max,
@@ -92,7 +92,7 @@ def _golden_section_max(fun, lo: float, hi: float, tol: float):
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _oracle_score(x_hat, bits, constellation, clamp=DEFAULT_CLAMP):
+def _oracle_score(x_hat, bits, constellation, clamp=LLR_CLAMP):
     """BMI as a function of log sigma^2, on the X-wide oracle."""
     d2 = _demapper_d2(x_hat, constellation)
 
@@ -118,8 +118,9 @@ class TestLlrs:
         rng = np.random.default_rng(31)
         x_hat = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         sigma_sq = 0.08
-        frame = llrs(x_hat, shaped64, sigma_demap_sq=sigma_sq, clamp=1e9)
+        frame = llrs(x_hat, shaped64, sigma_demap_sq=sigma_sq)
         mpmath.mp.dps = 50
+        checked = 0
         for k in range(4):
             for b in range(6):
                 num = mpmath.mpf(0)
@@ -133,7 +134,12 @@ class TestLlrs:
                     else:
                         den += term
                 expected = float(mpmath.log(num / den))
-                assert abs(frame[k, b] - expected) <= 1e-10 * max(1.0, abs(expected))
+                if abs(expected) < LLR_CLAMP:
+                    checked += 1
+                    assert abs(frame[k, b] - expected) <= 1e-10 * max(1.0, abs(expected))
+                else:
+                    assert frame[k, b] == math.copysign(LLR_CLAMP, expected)
+        assert checked >= 12
 
     def test_decision_boundary_rows_match_extended_precision(self):
         # At sigma^2 = 1e-6 only rows within about 1e-5 of a decision
@@ -147,7 +153,7 @@ class TestLlrs:
         mids = 0.5 * (levels[:-1] + levels[1:])
         x_hat = rng.choice(mids, 4) + 2e-6 * rng.uniform(-1, 1, 4) + 1j * rng.choice(levels, 4)
         sigma_sq = 1e-6
-        frame = llrs(x_hat, constellation, sigma_demap_sq=sigma_sq, clamp=1e9)
+        frame = llrs(x_hat, constellation, sigma_demap_sq=sigma_sq)
         mpmath.mp.dps = 50
         checked = 0
         for k in range(4):
@@ -161,14 +167,16 @@ class TestLlrs:
                     ) ** 2
                     sums[label[b]] += mpmath.mpf(p) * mpmath.exp(-d2 / sigma_sq)
                 expected = float(mpmath.log(sums[0] / sums[1]))
-                if abs(expected) < DEFAULT_CLAMP:
+                if abs(expected) < LLR_CLAMP:
                     checked += 1
                     assert abs(frame[k, b] - expected) <= 1e-9
+                else:
+                    assert frame[k, b] == math.copysign(LLR_CLAMP, expected)
         assert checked >= 4  # one boundary bit per row at least
 
     def test_clamp_applied(self, shaped64):
-        frame = llrs(shaped64.points, shaped64, sigma_demap_sq=1e-6, clamp=50.0)
-        assert np.max(np.abs(frame)) <= 50.0
+        frame = llrs(shaped64.points, shaped64, sigma_demap_sq=1e-6)
+        np.testing.assert_array_equal(np.abs(frame), LLR_CLAMP)
 
     def test_rejects_bad_variance(self, qpsk):
         with pytest.raises(ValueError):
@@ -197,8 +205,8 @@ class TestSeparableKernel:
         got = llrs(x_hat, constellation, sigma_sq)
         want = np.clip(
             _llrs_from_d2(_demapper_d2(x_hat, constellation), constellation, sigma_sq),
-            -DEFAULT_CLAMP,
-            DEFAULT_CLAMP,
+            -LLR_CLAMP,
+            LLR_CLAMP,
         )
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
 
@@ -275,6 +283,15 @@ class TestWeightFloor:
     """``AxisDemapper.llrs`` floors its log-weights before the exponential;
     no LLR within the clamp may move."""
 
+    def test_clamp_is_within_the_floor_bound(self):
+        # the docstring's bound, LLR_CLAMP <= -floor - ln n - 54 ln 2, at
+        # the most levels per axis that any supported order has
+        levels = max(build_qam(order).axis_decomposition().levels[0].size
+                     for order in SQUARE_QAM_ORDERS)
+        assert levels == 16
+        bound = -metrics._WEIGHT_FLOOR - math.log(levels) - 54.0 * math.log(2.0)
+        assert metrics.LLR_CLAMP <= bound
+
     @pytest.mark.parametrize("sigma_sq", [1e-6, 1e-4, 1e-3, 0.02])
     def test_matches_unfloored_kernel(self, sigma_sq):
         constellation, _ = shape_for_entropy(build_qam(64), 5.75)
@@ -285,8 +302,8 @@ class TestWeightFloor:
         # a residual phase error leaves LLRs below the clamp from 1e-4 up
         x_hat = trace.rx_symbols * np.exp(-1j * (trace.phase_path + 0.03))
         demapper = AxisDemapper(x_hat, constellation.axis_decomposition())
-        got = demapper.llrs(sigma_sq, DEFAULT_CLAMP)
-        want = unfloored_axis_llrs(x_hat, constellation, sigma_sq, DEFAULT_CLAMP)
+        got = demapper.llrs(sigma_sq)
+        want = unfloored_axis_llrs(x_hat, constellation, sigma_sq, LLR_CLAMP)
         np.testing.assert_array_equal(got, want)
         # below 0.02 some log-weights of the in-phase axis sat at the floor
         floored = demapper._weights[0] == np.exp(metrics._WEIGHT_FLOOR)
@@ -311,11 +328,12 @@ def _residual_frame(constellation, num_symbols, seed, snr_db=20.0, offset=0.03):
 
 class TestCrossEntropyKernel:
     @pytest.mark.parametrize("sigma_sq", [1e-6, 1e-4, 1e-3, 0.0114, 0.05, 1.0, 10.0])
-    @pytest.mark.parametrize("clamp", [DEFAULT_CLAMP, 5.0])
-    def test_penalty_matches_llr_oracle(self, shaped64, sigma_sq, clamp):
+    @pytest.mark.parametrize("clamp", [LLR_CLAMP, 5.0])
+    def test_penalty_matches_llr_oracle(self, shaped64, sigma_sq, clamp, monkeypatch):
+        monkeypatch.setattr(metrics, "LLR_CLAMP", clamp)
         x_hat, bits = _residual_frame(shaped64, DEMAP_CHUNK, seed=46)
         axes = shaped64.axis_decomposition()
-        got = AxisDemapper(x_hat, axes, bits).cross_entropy(sigma_sq, clamp)
+        got = AxisDemapper(x_hat, axes, bits).cross_entropy(sigma_sq)
         want = llr_penalty(AxisDemapper(x_hat, axes), bits, sigma_sq, clamp)
         assert abs(got - want) <= KERNEL_TOL * want
 
@@ -416,12 +434,13 @@ class TestBmi:
     def test_clamp_adequacy(self, shaped64):
         params = ChannelParams(snr_db=20.0, sigma_theta_sq=0.0, num_symbols=4096, seed=38)
         trace = transmit(shaped64, params)
-        v50 = bmi(
-            trace.bits, llrs(trace.rx_symbols, shaped64, trace.sigma_n_sq, clamp=50.0), shaped64
-        )
+        v50 = bmi(trace.bits, llrs(trace.rx_symbols, shaped64, trace.sigma_n_sq), shaped64)
         v100 = bmi(
-            trace.bits, llrs(trace.rx_symbols, shaped64, trace.sigma_n_sq, clamp=100.0), shaped64
+            trace.bits,
+            unfloored_axis_llrs(trace.rx_symbols, shaped64, trace.sigma_n_sq, 100.0).T,
+            shaped64,
         )
+        assert LLR_CLAMP == 50.0
         assert abs(v50 - v100) <= 1e-3
 
 
@@ -457,9 +476,9 @@ class TestVarianceOptimizer:
         calls = []
         kernel = AxisDemapper.cross_entropy
 
-        def counted(self, sigma_sq, clamp, flat_only=False):
+        def counted(self, sigma_sq, flat_only=False):
             calls.append((sigma_sq, flat_only))
-            return kernel(self, sigma_sq, clamp, flat_only)
+            return kernel(self, sigma_sq, flat_only)
 
         monkeypatch.setattr(AxisDemapper, "cross_entropy", counted)
         sigma_opt, report = optimize_demapper_variance(trace.rx_symbols, trace.bits, shaped64)
@@ -488,7 +507,7 @@ class TestVarianceOptimizer:
         scale = 1.0 / (x_hat.size * math.log(2.0))
 
         def score(log_sigma_sq):
-            llr = demapper.llrs(math.exp(log_sigma_sq), DEFAULT_CLAMP)
+            llr = demapper.llrs(math.exp(log_sigma_sq))
             return entropy_bits(shaped64.probs) - float(softplus(llr * neg_sign).sum()) * scale
 
         log_brent, bmi_brent = _brent_max(score, *LOG_SIGMA_RANGE, tol=1e-4)

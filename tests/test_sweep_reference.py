@@ -4,11 +4,14 @@
 The rule. On the build the reference was recorded on (the same numpy
 version, BLAS build and SIMD extensions) every CSV (``results``,
 ``realizations`` and each ``plots/bmi_vs_snr_*``), the training run's
-``params.json``, ``report.json`` and ``weights.csv``, and the sha256 of each
-algorithm's raw estimates must match the recording byte for byte. On another
-build, rounding alone may move the last bits: two equal-math demapper
-kernels moved ``sigma_opt`` by about 5e-12 in log. So there the estimate
-hashes are not compared, every BMI column (a plot CSV's algorithm columns
+``params.json``, ``report.json`` and ``weights.csv``, the sha256 of each
+algorithm's raw estimates and of each BP frame's log-marginals, and the
+training gradient (its 17-digit text and its sha256) must match the
+recording byte for byte. On another build, rounding alone may move the last
+bits: two equal-math demapper kernels moved ``sigma_opt`` by about 5e-12 in
+log, and log-marginals depend on the BLAS thread count. So there no hash is
+compared, each gradient entry must be within 1e-9 relative of the
+recording's, every BMI column (a plot CSV's algorithm columns
 are BMI medians) must be within 1e-12 (absolute, in bit), each
 ``log sigma_opt`` within 1e-9, and every other CSV column, slip medians
 included, must be equal. The training files there must have the same
@@ -140,6 +143,22 @@ def test_raw_estimates_match_on_the_recorded_build(fresh, recorded):
     if fresh["build"] != recorded["build"]:
         pytest.skip("build differs from the recording's: the CSV bounds apply instead")
     assert fresh["estimates_sha256"] == recorded["estimates_sha256"]
+
+
+def test_log_marginals_match_on_the_recorded_build(fresh, recorded):
+    if fresh["build"] != recorded["build"]:
+        pytest.skip("build differs from the recording's: log-marginal bits are not compared")
+    assert fresh["log_marginals_sha256"] == recorded["log_marginals_sha256"]
+
+
+def test_training_gradient_matches_the_recorded_reference(fresh, recorded):
+    want, got = recorded["train_grad"], fresh["train_grad"]
+    if fresh["build"] == recorded["build"]:
+        assert got == want
+    else:
+        assert len(got["values"]) == len(want["values"])
+        for i, (w, g) in enumerate(zip(want["values"], got["values"])):
+            assert math.isclose(float(w), float(g), rel_tol=TRAIN_RTOL), (i, w, g)
 
 
 def test_training_matches_the_recorded_reference(fresh, recorded):

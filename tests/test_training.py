@@ -18,7 +18,7 @@ from wiener_cpe import (
     transmit,
 )
 from wiener_cpe import bps_opt_estimate, metrics, min_distance_table, training
-from wiener_cpe.metrics import DEFAULT_CLAMP, DEMAP_CHUNK, AxisDemapper
+from wiener_cpe.metrics import DEMAP_CHUNK, LLR_CLAMP, AxisDemapper
 from wiener_cpe.experiments import load_params, save_params, save_report, weights_to_csv
 from wiener_cpe.training import AdamState, TrainReport, adam_init, adam_step
 
@@ -87,7 +87,7 @@ class TestLoss:
 
 class TestGrad:
     def test_matches_finite_differences(self, shaped64, monkeypatch):
-        _check_finite_differences(shaped64, DEFAULT_CLAMP, monkeypatch)
+        _check_finite_differences(shaped64, LLR_CLAMP, monkeypatch)
 
     def test_matches_finite_differences_with_saturated_llrs(self, shaped64, monkeypatch):
         # nearly every LLR sits at a clamp of 5 (about a third do at the
@@ -125,16 +125,17 @@ class TestGrad:
 
 class TestDemapperKernel:
     @pytest.mark.parametrize("sigma_sq", [1e-6, 1e-4, 1e-3, 0.0114, 0.05])
-    @pytest.mark.parametrize("clamp", [DEFAULT_CLAMP, 5.0])
-    def test_matches_llr_arithmetic(self, shaped64, sigma_sq, clamp):
+    @pytest.mark.parametrize("clamp", [LLR_CLAMP, 5.0])
+    def test_matches_llr_arithmetic(self, shaped64, sigma_sq, clamp, monkeypatch):
+        monkeypatch.setattr(metrics, "LLR_CLAMP", clamp)
         trace = _trace(shaped64, DEMAP_CHUNK, seed=31)
         x_hat = trace.rx_symbols * np.exp(-1j * (trace.phase_path + 0.03))
         demapper = AxisDemapper(x_hat, shaped64.axis_decomposition(), trace.bits)
-        total, g_u, g_v = demapper.cross_entropy_grad(sigma_sq, clamp)
+        total, g_u, g_v = demapper.cross_entropy_grad(sigma_sq)
         want, want_u, want_v = llr_cross_entropy_grad(
             x_hat, trace.bits, shaped64, sigma_sq, clamp
         )
-        assert total == demapper.cross_entropy(sigma_sq, clamp)
+        assert total == demapper.cross_entropy(sigma_sq)
         assert abs(total - want) <= 1e-12 * want
         peak = max(np.abs(want_u).max(), np.abs(want_v).max())
         assert max(np.abs(g_u - want_u).max(), np.abs(g_v - want_v).max()) <= 1e-12 * peak
@@ -165,6 +166,19 @@ class TestPhaseMajorPass:
         trace = _trace(shaped64, 2**12, seed=29)
         cfg = _cfg(32, 15, sigma_n_sq=trace.sigma_n_sq / 2)
         params = BpsOptParams.from_raw(np.random.default_rng(30).normal(0, 0.5, 65), raw_temp)
+        value = loss(params, trace, cfg, shaped64)
+        g_w, g_t = grad(params, trace, cfg, shaped64)
+        want_value, want_w, want_t = einsum_training_grad(params, trace, cfg, shaped64)
+        assert value == pytest.approx(want_value, rel=1e-14)
+        got, want = np.concatenate([g_w, [g_t]]), np.concatenate([want_w, [want_t]])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_matches_einsum_pipeline_across_demapper_blocks(self, shaped64):
+        # two full demapper blocks and a partial one: each block's phase
+        # gradient must land on its own symbols
+        trace = _trace(shaped64, 2 * DEMAP_CHUNK + 37, seed=49)
+        cfg = _cfg(4, 8, sigma_n_sq=trace.sigma_n_sq / 2)
+        params = BpsOptParams.from_raw(np.random.default_rng(50).normal(0, 0.5, 9), -2.3)
         value = loss(params, trace, cfg, shaped64)
         g_w, g_t = grad(params, trace, cfg, shaped64)
         want_value, want_w, want_t = einsum_training_grad(params, trace, cfg, shaped64)
@@ -387,13 +401,14 @@ def _check_finite_differences(constellation, clamp, monkeypatch):
     saturated = []
     forward = metrics.AxisDemapper._penalties
 
-    def recording(self, axis, sigma_sq, clamp):
-        out = forward(self, axis, sigma_sq, clamp)
-        low, high = metrics._penalty_range(clamp)
+    def recording(self, axis, sigma_sq):
+        out = forward(self, axis, sigma_sq)
+        low, high = metrics._penalty_range()
         saturated.append(float(np.mean((out[0] < low) | (out[0] > high))))
         return out
 
     monkeypatch.setattr(metrics.AxisDemapper, "_penalties", recording)
+    monkeypatch.setattr(metrics, "LLR_CLAMP", clamp)
     trace = _trace(constellation, 512, seed=7)
     cfg = _cfg(4, 8)
     rng = np.random.default_rng(8)
@@ -403,14 +418,14 @@ def _check_finite_differences(constellation, clamp, monkeypatch):
     for _ in range(10):
         raw_w = rng.normal(0.0, 0.4, 9)
         raw_t = float(np.log(0.1) + rng.normal(0.0, 0.3))
-        g_w, g_t = grad(BpsOptParams.from_raw(raw_w, raw_t), trace, cfg, constellation, clamp=clamp)
+        g_w, g_t = grad(BpsOptParams.from_raw(raw_w, raw_t), trace, cfg, constellation)
         grads = np.concatenate([g_w, [g_t]])
         for i in range(10):
             plus = _perturbed(raw_w, raw_t, i, +step)
             minus = _perturbed(raw_w, raw_t, i, -step)
             fd = (
-                loss(plus, trace, cfg, constellation, clamp=clamp)
-                - loss(minus, trace, cfg, constellation, clamp=clamp)
+                loss(plus, trace, cfg, constellation)
+                - loss(minus, trace, cfg, constellation)
             ) / (2 * step)
             checked += 1
             err = abs(fd - grads[i])
