@@ -18,7 +18,10 @@ one 256-symbol batch) and stores the text of its ``params.json``,
 ``report.json`` and ``weights.csv``, and ``training.grad`` at that batch's
 starting parameters (each entry printed with 17 significant digits, and
 the sha256 of the float64 vector): one Adam step keeps little more of the
-gradient than its sign. Each
+gradient than its sign. During that ``grad`` call it also wraps
+``metrics.AxisDemapper.cross_entropy_grad`` and stores the sha256 of each
+demapper block's per-symbol derivatives (g_u, g_v): a last-bit change there
+can leave every entry of the summed gradient as it was. Each
 record carries the ``RESULTS_VERSION``, numpy version, BLAS build and SIMD
 extensions it ran on. Run it with one BLAS thread, since log-marginals
 depend on the BLAS thread count:
@@ -43,6 +46,7 @@ from wiener_cpe import (
     emit_plot_data,
     estimators,
     experiments,
+    metrics,
     run_sweep,
     run_train,
     training,
@@ -128,8 +132,9 @@ def sha256(array) -> str:
 
 @contextlib.contextmanager
 def wrapped(module, names, record):
-    """Route each of ``names`` in ``module`` through ``record(name, out)``
-    for the duration of the block."""
+    """Route each of ``names`` in ``module`` (or a class, whose methods
+    then get ``self`` first) through ``record(name, out)`` for the duration
+    of the block."""
 
     def wrap(name, fn):
         def call(*args, **kwargs):
@@ -168,9 +173,10 @@ def hashed_sweep(config: ExperimentConfig, out_dir: Path) -> tuple[dict, list]:
     return {algo: digests[algo].hexdigest() for algo in config.algorithms}, frames
 
 
-def trained(model: Path) -> dict:
-    """Run the reference training into ``model`` and return ``grad`` at its
-    first batch and starting parameters."""
+def trained(model: Path) -> tuple[dict, list]:
+    """Run the reference training into ``model``. Returns ``grad`` at its
+    first batch and starting parameters, and the sha256 of each demapper
+    block's (g_u, g_v) in that ``grad`` call."""
     batches = []
     forward_backward = training._forward_backward
 
@@ -184,9 +190,15 @@ def trained(model: Path) -> dict:
         run_train(TRAIN_CONFIG, TRAIN_SCHEDULE, model)
     finally:
         training._forward_backward = forward_backward
-    g_w, g_t = training.grad(*batches[0])
+    blocks = []
+    with wrapped(
+        metrics.AxisDemapper,
+        ["cross_entropy_grad"],
+        lambda name, out: blocks.append(sha256(np.concatenate(out[1:]))),
+    ):
+        g_w, g_t = training.grad(*batches[0])
     gradient = np.concatenate([g_w, [g_t]])
-    return {"values": [format(v, ".17g") for v in gradient], "sha256": sha256(gradient)}
+    return {"values": [format(v, ".17g") for v in gradient], "sha256": sha256(gradient)}, blocks
 
 
 def record() -> dict:
@@ -202,7 +214,7 @@ def record() -> dict:
             for plot in sorted((out_dir / "plots").glob("bmi_vs_snr_*.csv")):
                 sweeps[name][f"plots/{plot.stem}"] = text(plot)
         model = Path(tmp) / "model"
-        gradient = trained(model)
+        gradient, demapper_grads = trained(model)
         train = {name: text(model / name) for name in ("params.json", "report.json", "weights.csv")}
     return {
         "results_version": RESULTS_VERSION,
@@ -210,6 +222,7 @@ def record() -> dict:
         "sweeps": sweeps,
         "estimates_sha256": estimates,
         "log_marginals_sha256": log_marginals,
+        "demapper_grad_sha256": demapper_grads,
         "train": train,
         "train_grad": gradient,
     }

@@ -12,7 +12,6 @@ from .constellation import (
 from .estimators import (
     BpsOptParams,
     EstimatorConfig,
-    FactorTables,
     PhaseGrid,
     bps_estimate,
     bps_opt_estimate,
@@ -21,7 +20,6 @@ from .estimators import (
     map_bp_estimate,
     min_distance_table,
     q_matrix,
-    r_table,
 )
 from .experiments import (
     CellResult,

@@ -37,6 +37,8 @@ class ChannelParams:
             raise ValueError("phi0 must be finite")
         if self.num_symbols < 1:
             raise ValueError("num_symbols must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

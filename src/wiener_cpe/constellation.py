@@ -194,19 +194,20 @@ def maxwell_boltzmann_shape(c: Constellation, lam: float) -> Constellation:
 
     The exponent is evaluated on the unit-spacing lattice geometry; the
     points are then rescaled so the average energy under the new
-    probabilities is one. A lam that puts every weight under the 1e-300
-    floor (above about 345 for square QAM) would unshape it, and is rejected.
+    probabilities is one. Weights are floored at 1e-300 so that every
+    probability stays positive; a lam at which the floor adds more than
+    ``_PROB_TOL`` of the mass (above about 330 for 64-QAM) would distort
+    the shaping, and is rejected.
     """
     if not lam >= 0:
         raise ValueError(f"shaping parameter must be a nonnegative number, got {lam}")
     base = _lattice_geometry(c.points)
     weights = np.exp(-lam * np.abs(base) ** 2)
-    if not weights.max() >= 1e-300:
-        raise ValueError(f"shaping parameter {lam} underflows every point's weight below 1e-300")
-    # floor keeps probabilities strictly positive when exp underflows at
-    # large lam; the added mass is far below every tolerance in use
-    weights = np.maximum(weights, 1e-300)
-    probs = weights / weights.sum()
+    floored = np.maximum(weights, 1e-300)
+    added = (floored - weights).sum() / floored.sum()
+    if not added <= _PROB_TOL:
+        raise ValueError(f"shaping parameter {lam} floors {added:.3g} of the mass at 1e-300")
+    probs = floored / floored.sum()
     energy = float(np.sum(probs * np.abs(base) ** 2))
     return Constellation(base / math.sqrt(energy), probs, c.bit_labels, c.sym_order)
 

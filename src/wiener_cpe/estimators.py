@@ -1,7 +1,7 @@
 """Feed-forward phase estimators for the Wiener phase-noise channel.
 
 Four estimators over a common grid of test phases, each deciding on the
-(K, M) table it is handed (``min_distance_table`` or ``r_table``):
+(K, M) tables of ``_distance_tables`` (map_bp also on ``q_matrix``):
 
 * ``bps_estimate``      - windowed blind phase search (argmin of summed
   minimum symbol distances);
@@ -125,23 +125,6 @@ class BpsOptParams:
         return cls.from_raw(np.zeros(2 * half_window + 1), math.log(temperature))
 
 
-@dataclass(frozen=True)
-class FactorTables:
-    """Log-domain emission table (K x M) and transition matrix (M x M)."""
-
-    r_table: np.ndarray
-    q_matrix: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.r_table)):
-            raise ValueError("emission table has non-finite entries")
-        if not np.all(np.isfinite(self.q_matrix)):
-            raise ValueError("transition matrix has non-finite entries")
-        rows = logsumexp(self.q_matrix, axis=1)
-        if np.max(np.abs(np.expm1(rows))) > 1e-12:
-            raise ValueError("transition matrix rows must sum to 1")
-
-
 def _row_blocks(size: int, rows: int):
     """[start, stop) pairs of ``rows`` rows each, the last one taking the
     remainder, so no block is shorter than ``rows`` unless ``size`` is."""
@@ -206,20 +189,6 @@ def min_distance_table(y, grid: PhaseGrid, constellation: Constellation) -> np.n
     """d[k, m] = min over x of |y_k - x e^{j phi_m}|^2."""
     d_min, _ = _distance_tables(y, grid, constellation, None, want_min=True, want_log_r=False)
     return d_min
-
-
-def r_table(y, grid: PhaseGrid, constellation: Constellation, sigma_n_sq: float) -> np.ndarray:
-    """Log emission factors log sum_x P(x) exp(-|y_k - x e^{j phi_m}|^2 / (2 sigma_n^2)).
-
-    The Gaussian normalization constant is dropped consistently; rows are
-    computed with log-sum-exp so entries are always finite.
-    """
-    if sigma_n_sq <= 0:
-        raise ValueError("sigma_n_sq must be positive")
-    _, log_r = _distance_tables(
-        y, grid, constellation, sigma_n_sq, want_min=False, want_log_r=True
-    )
-    return log_r
 
 
 def q_matrix(grid: PhaseGrid, sigma_theta_sq: float) -> np.ndarray:
@@ -470,9 +439,10 @@ def _chain_log_marginals_full(log_r, log_q) -> np.ndarray:
     return _log_sweep(log_r, log_q) + log_r + _log_sweep(log_r[::-1], log_q)[::-1]
 
 
-def map_bp_estimate(tables: FactorTables, cfg: EstimatorConfig) -> np.ndarray:
+def map_bp_estimate(log_r, cfg: EstimatorConfig, log_q) -> np.ndarray:
     """Approximate MAP phase estimates by sum-product message passing on
-    the log emission table and transition matrix of ``tables``.
+    the (K, M) log emission table ``log_r`` and the (M, M) log transition
+    matrix ``log_q`` (``q_matrix``, whose rows sum to 1).
 
     For each output symbol the forward recursion folds in the window
     symbols before it and the backward recursion those after it; the
@@ -601,15 +571,16 @@ def map_bp_estimate(tables: FactorTables, cfg: EstimatorConfig) -> np.ndarray:
     product, but forward and backward messages can still lose each other's
     support (more than about 708 nats apart), which leaves a row -inf at
     every grid phase. Its argmax would silently be grid phase 0, so such a
-    frame raises FloatingPointError with the count of dead rows instead.
+    frame raises FloatingPointError with the count of dead rows instead,
+    and a log R with a NaN or infinite entry raises ValueError up front.
     """
-    _check_length(tables.r_table, cfg)
+    _check_length(log_r, cfg)
+    if not np.all(np.isfinite(log_r)):
+        raise ValueError("emission table has non-finite entries")
     if cfg.full_sequence_bp:
-        log_marginals = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
+        log_marginals = _chain_log_marginals_full(log_r, log_q)
     else:
-        log_marginals = _chain_log_marginals_windowed(
-            tables.r_table, tables.q_matrix, cfg.half_window
-        )
+        log_marginals = _chain_log_marginals_windowed(log_r, log_q, cfg.half_window)
         dead = ~np.isfinite(log_marginals).any(axis=1)
         if np.any(dead):
             raise FloatingPointError(

@@ -35,7 +35,6 @@ from .constellation import Constellation, build_qam, maxwell_boltzmann_shape, sh
 from .estimators import (
     BpsOptParams,
     EstimatorConfig,
-    FactorTables,
     _distance_tables,
     bp_threads,
     bps_estimate,
@@ -47,7 +46,7 @@ from .estimators import (
 )
 from .metrics import optimize_demapper_variance
 from .postproc import postprocess
-from .training import TrainReport, TrainSchedule, train
+from .training import VAL_SYMBOLS, TrainReport, TrainSchedule, train
 
 KNOWN_ALGORITHMS = ("bps", "cpn", "map_bp", "bps_opt")
 
@@ -309,9 +308,7 @@ def _evaluate_realization(args):
     d_table, log_r = _distance_tables(
         trace.rx_symbols, cfg.grid, constellation, cfg.sigma_n_sq, want_min, want_log_r
     )
-    tables = None
-    if want_log_r:
-        tables = FactorTables(log_r, q_matrix(cfg.grid, cfg.sigma_theta_sq))
+    log_q = q_matrix(cfg.grid, cfg.sigma_theta_sq) if "map_bp" in config.algorithms else None
     shared_s = time.perf_counter() - started
 
     out = {}
@@ -322,7 +319,7 @@ def _evaluate_realization(args):
         elif algo == "cpn":
             phi_raw = cpn_estimate(log_r, cfg)
         elif algo == "map_bp":
-            phi_raw = map_bp_estimate(tables, cfg)
+            phi_raw = map_bp_estimate(log_r, cfg, log_q)
         else:
             phi_raw = bps_opt_estimate(d_table, cfg, opt_params)
         corrected = postprocess(
@@ -616,6 +613,15 @@ def run_train(
     channel, cfg = _cell_setup(
         config, constellation, config.snr_db[0], config.sigma_theta_sq[0], config.seed
     )
+    # the batch size ramps monotonically, so its shortest batch is at an end
+    shortest = min(schedule.symbols_for_epoch(0), schedule.symbols_for_epoch(schedule.epochs - 1))
+    if min(shortest, VAL_SYMBOLS) < 2 * config.half_window + 1:
+        raise ConfigError(
+            f"training batches ({shortest} symbols at the shortest) and the {VAL_SYMBOLS}-symbol "
+            "validation trace must be at least the window length 2 * half_window + 1"
+        )
+    if heldout_realizations < 0:
+        raise ConfigError(f"heldout_realizations must be nonnegative, got {heldout_realizations}")
     # a bad worker count must fail before anything is trained or written
     workers = _worker_count(None) if heldout_realizations > 0 else None
     out_dir = Path(output_dir)

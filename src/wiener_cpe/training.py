@@ -28,6 +28,7 @@ from .metrics import demapper_blocks
 from .postproc import cycle_slip_correct
 
 _LN2 = math.log(2.0)
+VAL_SYMBOLS = 4096
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class TrainSchedule:
                 raise ValueError(f"{name} must be positive")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError(f"lr must be finite and nonnegative, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def batches_for_epoch(self, epoch: int) -> int:
         frac = 0.0 if self.epochs == 1 else epoch / (self.epochs - 1)
@@ -238,7 +241,7 @@ def train(
     constellation: Constellation,
     init_params: BpsOptParams | None = None,
     loss_kind: str = "bce",
-    val_symbols: int = 4096,
+    val_symbols: int = VAL_SYMBOLS,
 ) -> TrainReport:
     """Online training against the channel simulator.
 

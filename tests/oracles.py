@@ -10,18 +10,16 @@ from scipy.special import expit, logsumexp
 from wiener_cpe import (
     BpsOptParams,
     EstimatorConfig,
-    FactorTables,
     build_qam,
     maxwell_boltzmann_shape,
     min_distance_table,
     q_matrix,
-    r_table,
     shape_for_entropy,
 )
 from wiener_cpe.channel import ChannelTrace
 from wiener_cpe.constellation import Constellation, entropy_bits
 from wiener_cpe import metrics
-from wiener_cpe.estimators import _DEGENERATE_Q_FLOOR, PhaseGrid
+from wiener_cpe.estimators import _DEGENERATE_Q_FLOOR, PhaseGrid, _distance_tables
 from wiener_cpe.metrics import (
     DEMAP_CHUNK,
     LLR_CLAMP,
@@ -47,13 +45,17 @@ def shaped_qam(order: int, lam_fraction: float) -> Constellation:
     return maxwell_boltzmann_shape(base, lam_fraction * _SHAPING_END[order])
 
 
-def build_factor_tables(y, cfg: EstimatorConfig, constellation: Constellation) -> FactorTables:
-    """The log emission table and transition matrix ``map_bp_estimate``
-    decides on, built from ``y`` with ``cfg``'s grid and noise parameters."""
-    return FactorTables(
-        r_table=r_table(y, cfg.grid, constellation, cfg.sigma_n_sq),
-        q_matrix=q_matrix(cfg.grid, cfg.sigma_theta_sq),
-    )
+def r_table(y, grid: PhaseGrid, constellation: Constellation, sigma_n_sq: float) -> np.ndarray:
+    """Log emission factors log sum_x P(x) exp(-|y_k - x e^{j phi_m}|^2 / (2 sigma_n^2)):
+    the (K, M) log R table of ``_distance_tables`` alone."""
+    return _distance_tables(y, grid, constellation, sigma_n_sq, want_min=False, want_log_r=True)[1]
+
+
+def build_factor_tables(y, cfg: EstimatorConfig, constellation: Constellation):
+    """The (log R, log Q) pair ``map_bp_estimate`` decides on, built from
+    ``y`` with ``cfg``'s grid and noise parameters."""
+    log_r = r_table(y, cfg.grid, constellation, cfg.sigma_n_sq)
+    return log_r, q_matrix(cfg.grid, cfg.sigma_theta_sq)
 
 
 def scipy_q_matrix(grid: PhaseGrid, sigma_theta_sq: float, r_max: int = 3) -> np.ndarray:
@@ -83,19 +85,19 @@ def brute_force_map(y_window, cfg: EstimatorConfig, constellation: Constellation
     m = cfg.grid.m_count
     if m**window > _BRUTE_FORCE_LIMIT:
         raise ValueError("enumeration size guard exceeded")
-    tables = build_factor_tables(y_window, cfg, constellation)
+    log_r, log_q = build_factor_tables(y_window, cfg, constellation)
 
     shape = (m,) * window
     log_w = np.zeros(shape)
     for pos in range(window):
         sh = [1] * window
         sh[pos] = m
-        log_w = log_w + tables.r_table[pos].reshape(sh)
+        log_w = log_w + log_r[pos].reshape(sh)
         if pos > 0:
             sh_q = [1] * window
             sh_q[pos - 1] = m
             sh_q[pos] = m
-            log_w = log_w + tables.q_matrix.reshape(sh_q)
+            log_w = log_w + log_q.reshape(sh_q)
     center = window // 2
     other_axes = tuple(a for a in range(window) if a != center)
     log_marginal = logsumexp(log_w, axis=other_axes) if other_axes else log_w

@@ -148,7 +148,8 @@ def _heldout_median(shaped, algo, m_count, params=None, n_traces=11):
         if algo == "bps":
             phi = bps_estimate(min_distance_table(trace.rx_symbols, cfg.grid, shaped), cfg)
         elif algo == "map_bp":
-            phi = map_bp_estimate(build_factor_tables(trace.rx_symbols, cfg, shaped), cfg)
+            log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped)
+            phi = map_bp_estimate(log_r, cfg, log_q)
         else:
             d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped)
             phi = bps_opt_estimate(d_table, cfg, params)
@@ -175,9 +176,9 @@ def test_criterion_01_bp_exactness(shaped):
         size = 2 * half_window + 1
         y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         _, marg_bf = brute_force_map(y, cfg, shaped)
-        tables = build_factor_tables(y, cfg, shaped)
-        est = map_bp_estimate(tables, cfg)
-        logm = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half_window)
+        log_r, log_q = build_factor_tables(y, cfg, shaped)
+        est = map_bp_estimate(log_r, cfg, log_q)
+        logm = _chain_log_marginals_windowed(log_r, log_q, half_window)
         center = np.exp(logm[half_window] - logsumexp(logm[half_window]))
         err = np.abs(center - marg_bf)
         scale = np.maximum(np.abs(marg_bf), np.abs(center))
@@ -431,11 +432,11 @@ def test_criterion_09_noiseless_sanity(shaped):
     interior = slice(8, 512 - 8)
     ok = True
     d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped)
-    tables = build_factor_tables(trace.rx_symbols, cfg, shaped)
+    log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped)
     for est in (
         bps_estimate(d_table, cfg),
-        cpn_estimate(tables.r_table, cfg),
-        map_bp_estimate(tables, cfg),
+        cpn_estimate(log_r, cfg),
+        map_bp_estimate(log_r, cfg, log_q),
     ):
         ok &= bool(np.all(est[interior] == grid.phases[target_index]))
     est_opt = bps_opt_estimate(d_table, cfg, BpsOptParams.uniform(8, temperature=1e-6))

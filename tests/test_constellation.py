@@ -93,10 +93,12 @@ class TestShaping:
         with pytest.raises(ValueError):
             maxwell_boltzmann_shape(qam64, -0.1)
 
-    @pytest.mark.parametrize("lam", [math.nan, 400.0, math.inf])
+    @pytest.mark.parametrize("lam", [math.nan, 340.0, 345.0, 400.0, math.inf])
     def test_lambda_that_cannot_shape_rejected(self, qam64, lam):
-        # from about 345 on, every weight, e^-2 lam at the innermost points,
-        # falls below the 1e-300 floor, which would make every point equal
+        # the innermost weights are e^-2 lam; from about 330 on, the 1e-300
+        # floor of the 60 outer weights adds more than 1e-12 of the mass
+        # (3e-4 at 340, 0.87 at 345, where the entropy reads 5.96 bit), and
+        # from about 345 on every weight is floored, which makes every point equal
         with pytest.raises(ValueError, match="shaping parameter"):
             maxwell_boltzmann_shape(qam64, lam)
         assert entropy_bits(maxwell_boltzmann_shape(qam64, 300.0).probs) == pytest.approx(2.0)

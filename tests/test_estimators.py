@@ -15,7 +15,6 @@ from wiener_cpe import (
     ChannelParams,
     Constellation,
     EstimatorConfig,
-    FactorTables,
     bps_estimate,
     bps_opt_estimate,
     build_qam,
@@ -24,7 +23,6 @@ from wiener_cpe import (
     map_bp_estimate,
     min_distance_table,
     q_matrix,
-    r_table,
     shape_for_entropy,
     transmit,
 )
@@ -47,6 +45,7 @@ from oracles import (
     full_log_marginals_logdomain,
     full_log_marginals_rows,
     gather_windowed_sum,
+    r_table,
     row_loop_messages,
     scipy_q_matrix,
     shaped_qam,
@@ -114,10 +113,6 @@ class TestRTable:
                     total += mpmath.mpf(p) * mpmath.exp(-mpmath.mpf(d2) / (2 * sigma_sq))
                 expected = float(mpmath.log(total))
                 assert abs(table[k, m] - expected) <= 1e-12 * max(1.0, abs(expected))
-
-    def test_requires_positive_variance(self, qpsk):
-        with pytest.raises(ValueError):
-            r_table(np.array([1.0 + 0j]), make_grid(4, 4), qpsk, sigma_n_sq=0.0)
 
 
 class TestLogsumexp:
@@ -273,9 +268,9 @@ class TestMapBp:
         rng = np.random.default_rng(6)
         cfg = _cfg(1, 4, sigma_n_sq=0.05, sigma_theta_sq=1e-3)
         y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        tables = build_factor_tables(y, cfg, shaped64)
-        est = map_bp_estimate(tables, cfg)
-        logm = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, 1)
+        log_r, log_q = build_factor_tables(y, cfg, shaped64)
+        est = map_bp_estimate(log_r, cfg, log_q)
+        logm = _chain_log_marginals_windowed(log_r, log_q, 1)
         phase_bf, marg_bf = brute_force_map(y, cfg, shaped64)
         center = np.exp(logm[1] - logsumexp(logm[1]))
         np.testing.assert_allclose(center, marg_bf, rtol=1e-9, atol=1e-250)
@@ -285,47 +280,58 @@ class TestMapBp:
         rng = np.random.default_rng(7)
         y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         cfg = _cfg(8, 8, sigma_n_sq=0.1, sigma_theta_sq=100.0)
-        est = map_bp_estimate(build_factor_tables(y, cfg, shaped64), cfg)
-        table = r_table(y, cfg.grid, shaped64, 0.1)
-        np.testing.assert_array_equal(est, cfg.grid.phases[np.argmax(table, axis=1)])
+        log_r, log_q = build_factor_tables(y, cfg, shaped64)
+        est = map_bp_estimate(log_r, cfg, log_q)
+        np.testing.assert_array_equal(est, cfg.grid.phases[np.argmax(log_r, axis=1)])
 
     def test_tiny_phase_noise_fixed_phase_equals_cpn(self, shaped64):
         params = ChannelParams(snr_db=18.0, sigma_theta_sq=0.0, num_symbols=512, seed=8, phi0=0.1)
         trace = transmit(shaped64, params)
         cfg = _cfg(8, 15, sigma_n_sq=trace.sigma_n_sq, sigma_theta_sq=1e-10)
-        np.testing.assert_array_equal(
-            map_bp_estimate(build_factor_tables(trace.rx_symbols, cfg, shaped64), cfg),
-            cpn_estimate(r_table(trace.rx_symbols, cfg.grid, shaped64, cfg.sigma_n_sq), cfg),
-        )
+        log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        np.testing.assert_array_equal(map_bp_estimate(log_r, cfg, log_q), cpn_estimate(log_r, cfg))
 
     def test_full_sequence_agrees_when_window_covers_everything(self, shaped64):
         rng = np.random.default_rng(9)
         y = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         cfg = _cfg(6, 5, sigma_n_sq=0.05, sigma_theta_sq=1e-3)  # N >= K-1
-        tables = build_factor_tables(y, cfg, shaped64)
-        windowed = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, 6)
-        full = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
+        log_r, log_q = build_factor_tables(y, cfg, shaped64)
+        windowed = _chain_log_marginals_windowed(log_r, log_q, 6)
+        full = _chain_log_marginals_full(log_r, log_q)
         np.testing.assert_allclose(windowed, full, rtol=1e-12, atol=1e-12)
 
     def test_full_sequence_agrees_at_center_when_window_equals_sequence(self, shaped64):
         rng = np.random.default_rng(10)
         y = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         cfg = _cfg(4, 5, sigma_n_sq=0.05, sigma_theta_sq=1e-3)  # 2N+1 == K
-        tables = build_factor_tables(y, cfg, shaped64)
-        windowed = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, 4)
-        full = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
+        log_r, log_q = build_factor_tables(y, cfg, shaped64)
+        windowed = _chain_log_marginals_windowed(log_r, log_q, 4)
+        full = _chain_log_marginals_full(log_r, log_q)
         np.testing.assert_allclose(windowed[4], full[4], rtol=1e-12, atol=1e-12)
 
     def test_config_flag_switches_variant(self, shaped64):
         rng = np.random.default_rng(11)
         y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         cfg_full = _cfg(2, 5, sigma_n_sq=0.05, full_sequence_bp=True)
-        tables = build_factor_tables(y, cfg_full, shaped64)
-        est = map_bp_estimate(tables, cfg_full)
+        log_r, log_q = build_factor_tables(y, cfg_full, shaped64)
+        est = map_bp_estimate(log_r, cfg_full, log_q)
         expected = cfg_full.grid.phases[
-            np.argmax(_chain_log_marginals_full(tables.r_table, tables.q_matrix), axis=1)
+            np.argmax(_chain_log_marginals_full(log_r, log_q), axis=1)
         ]
         np.testing.assert_array_equal(est, expected)
+
+    @pytest.mark.parametrize("full_sequence_bp", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_emission_table_rejected(self, shaped64, full_sequence_bp, bad):
+        # without the check, one NaN or +inf entry makes nearly every
+        # full-sequence log-marginal NaN, whose argmax is grid phase 0
+        rng = np.random.default_rng(11)
+        y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        cfg = _cfg(2, 5, sigma_n_sq=0.05, full_sequence_bp=full_sequence_bp)
+        log_r, log_q = build_factor_tables(y, cfg, shaped64)
+        log_r[7, 3] = bad
+        with pytest.raises(ValueError, match="emission table has non-finite entries"):
+            map_bp_estimate(log_r, cfg, log_q)
 
 
 class TestBlockedBp:
@@ -342,9 +348,9 @@ class TestBlockedBp:
         )
         trace = transmit(shaped64, params)
         cfg = _cfg(8, m_count, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=sigma_theta_sq)
-        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
-        got = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, 8)
-        want = windowed_log_marginals(tables.r_table, tables.q_matrix, 8)
+        log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        got = _chain_log_marginals_windowed(log_r, log_q, 8)
+        want = windowed_log_marginals(log_r, log_q, 8)
         np.testing.assert_array_equal(np.argmax(got, axis=1), np.argmax(want, axis=1))
         live = want > -700.0
         assert live.any(axis=1).all()
@@ -359,9 +365,9 @@ class TestBlockedBp:
         params = ChannelParams(snr_db=20.0, sigma_theta_sq=1.18e-4, num_symbols=size, seed=30)
         trace = transmit(shaped64, params)
         cfg = _cfg(half, m_count, sigma_n_sq=trace.sigma_n_sq / 2)
-        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
-        got = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
-        want = windowed_log_marginals(tables.r_table, tables.q_matrix, half)
+        log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        got = _chain_log_marginals_windowed(log_r, log_q, half)
+        want = windowed_log_marginals(log_r, log_q, half)
         delta = 4 * half * np.finfo(float).eps * np.abs(want).max()
         assert assert_same_decisions(want, got, "argmax", delta) == 0
         top = want >= want.max(axis=1, keepdims=True) - 30.0
@@ -404,14 +410,14 @@ class TestBlockedBp:
         )
         trace = transmit(shaped64, params)
         cfg = _cfg(half, m_count, sigma_n_sq=trace.sigma_n_sq / 2)
-        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped64)
         tiny = np.finfo(float).tiny
-        q_tiny = estimators._linear_transitions(tables.q_matrix, tiny)
+        q_tiny = estimators._linear_transitions(log_q, tiny)
         q_flushed = estimators._linear_transitions(
-            tables.q_matrix, estimators._WINDOWED_Q_FLUSH
+            log_q, estimators._WINDOWED_Q_FLUSH
         )
         assert np.count_nonzero(q_tiny) > np.count_nonzero(q_flushed)
-        block = np.ascontiguousarray(tables.r_table.T)
+        block = np.ascontiguousarray(log_r.T)
         keep = slice(0, size)
         band = m_count**2 * 2.0**-847
         for want, got in zip(
@@ -420,9 +426,9 @@ class TestBlockedBp:
         ):
             inside = want >= band * want.max(axis=0)
             np.testing.assert_allclose(got[inside], want[inside], rtol=1e-12, atol=0.0)
-        got = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
+        got = _chain_log_marginals_windowed(log_r, log_q, half)
         monkeypatch.setattr(estimators, "_WINDOWED_Q_FLUSH", tiny)
-        want = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
+        want = _chain_log_marginals_windowed(log_r, log_q, half)
         delta = 4 * half * np.finfo(float).eps * np.abs(want).max()
         assert assert_same_decisions(want, got, "argmax", delta) == 0
 
@@ -453,9 +459,8 @@ class TestBlockedBp:
         dead = int(np.count_nonzero(~np.isfinite(want).any(axis=1)))
         assert dead > 0
         cfg = _cfg(3, m_count, sigma_theta_sq=0.0)
-        tables = FactorTables(log_r, log_q)
         with pytest.raises(FloatingPointError, match=f" {dead} of {size} rows"):
-            map_bp_estimate(tables, cfg)
+            map_bp_estimate(log_r, cfg, log_q)
 
     @staticmethod
     def _usable_cores(monkeypatch, cores):
@@ -487,7 +492,7 @@ class TestBlockedBp:
         )
         trace = transmit(shaped64, params)
         cfg = _cfg(half, m_count, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=sigma_theta_sq)
-        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped64)
         blocks = size // estimators._BP_BLOCK_ROWS
         real = estimators._windowed_messages
 
@@ -505,7 +510,7 @@ class TestBlockedBp:
                 return real(*args)
 
             monkeypatch.setattr(estimators, "_windowed_messages", recording)
-            out = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half)
+            out = _chain_log_marginals_windowed(log_r, log_q, half)
             assert threading.get_ident() not in runners and len(runners) == threads
             return out
 
@@ -535,7 +540,7 @@ class TestBlockedBp:
         m_count, size = 8, 3 * estimators._BP_BLOCK_ROWS
         rng = np.random.default_rng(36)
         log_r = rng.uniform(-5.0, 0.0, (size, m_count))
-        tables = FactorTables(log_r, q_matrix(make_grid(m_count, 4), 1e-3))
+        log_q = q_matrix(make_grid(m_count, 4), 1e-3)
         calls = itertools.count()
         real = estimators._windowed_messages
 
@@ -547,7 +552,7 @@ class TestBlockedBp:
         monkeypatch.setattr(estimators, "_windowed_messages", second_fails)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="block failed"):
-            map_bp_estimate(tables, _cfg(4, m_count))
+            map_bp_estimate(log_r, _cfg(4, m_count), log_q)
         assert threading.active_count() == before
 
     def test_threads_keep_the_callers_error_state(self, monkeypatch):
@@ -613,10 +618,10 @@ class TestFullSequenceBp:
         # for bit; the lockstep products round as (blocks, M) @ (M, M)
         # products instead of one-row ones
         size = 4096
-        tables = _matched_tables(shaped64_575, m_count, sigma_theta_sq, size, seed=25)
-        got = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
-        q_lin = estimators._linear_transitions(tables.q_matrix)
-        want = full_log_marginals_rows(tables.r_table, q_lin)
+        log_r, log_q = _matched_tables(shaped64_575, m_count, sigma_theta_sq, size, seed=25)
+        got = _chain_log_marginals_full(log_r, log_q)
+        q_lin = estimators._linear_transitions(log_q)
+        want = full_log_marginals_rows(log_r, q_lin)
         delta = 4 * size * np.finfo(float).eps * np.abs(want).max()
         assert assert_same_decisions(want, got, "argmax", delta) == 0
         top = want >= want.max(axis=1, keepdims=True) - 30.0
@@ -633,10 +638,10 @@ class TestFullSequenceBp:
         # step (multiply, peak, divide, one (blocks, M) @ (M, M) product)
         # from the last row of every block gives the first row of the next
         size = 3 * _L + 37
-        tables = _matched_tables(shaped64_575, m_count, sigma_theta_sq, size, seed=seed)
-        q_lin = estimators._linear_transitions(tables.q_matrix)
-        for log_r in (tables.r_table, tables.r_table[::-1]):
-            r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+        log_r, log_q = _matched_tables(shaped64_575, m_count, sigma_theta_sq, size, seed=seed)
+        q_lin = estimators._linear_transitions(log_q)
+        for table in (log_r, log_r[::-1]):
+            r_lin = np.exp(table - table.max(axis=1, keepdims=True))
             messages = estimators._sweep(r_lin, q_lin)
             assert messages is not None
             last = np.arange(_L - 1, size, _L)  # the last row of each full block
@@ -654,18 +659,18 @@ class TestFullSequenceBp:
     def test_block_layouts_match_row_loop(self, shaped64_575, size, m_count):
         # one block is the row loop bit for bit; more blocks round their
         # products as (blocks, M) @ (M, M) and stay within a few ulps
-        tables = _matched_tables(shaped64_575, m_count, 1e-3, size, seed=29)
-        q_lin = estimators._linear_transitions(tables.q_matrix)
-        for log_r in (tables.r_table, tables.r_table[::-1]):
-            r_lin = np.exp(log_r - log_r.max(axis=1, keepdims=True))
+        log_r, log_q = _matched_tables(shaped64_575, m_count, 1e-3, size, seed=29)
+        q_lin = estimators._linear_transitions(log_q)
+        for table in (log_r, log_r[::-1]):
+            r_lin = np.exp(table - table.max(axis=1, keepdims=True))
             got = estimators._sweep(r_lin, q_lin)
-            want = row_loop_messages(log_r, q_lin)
+            want = row_loop_messages(table, q_lin)
             if size <= _L:
                 np.testing.assert_array_equal(got, want)
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        got = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
-        want = full_log_marginals_rows(tables.r_table, q_lin)
+        got = _chain_log_marginals_full(log_r, log_q)
+        want = full_log_marginals_rows(log_r, q_lin)
         delta = 4 * size * np.finfo(float).eps * np.abs(want).max()
         assert assert_same_decisions(want, got, "argmax", delta) == 0
 
@@ -704,12 +709,12 @@ class TestFullSequenceBp:
             ChannelParams(snr_db=20.0, sigma_theta_sq=1e-5, num_symbols=size, seed=6),
         )
         cfg = _cfg(32, 15, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=0.0)
-        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64_575)
-        got = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
-        want = np.broadcast_to(tables.r_table.sum(axis=0), got.shape)
+        log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped64_575)
+        got = _chain_log_marginals_full(log_r, log_q)
+        want = np.broadcast_to(log_r.sum(axis=0), got.shape)
         # each of the 2K shifted log-domain steps rounds within a few ulps of
         # the running sums, whose spread is at most the sum of the rows' spreads
-        delta = 4 * size * np.finfo(float).eps * np.ptp(tables.r_table, axis=1).sum()
+        delta = 4 * size * np.finfo(float).eps * np.ptp(log_r, axis=1).sum()
         assert assert_same_decisions(want, got, "argmax", delta) == 0
         assert np.all(np.isfinite(got))
 
@@ -719,9 +724,9 @@ class TestFullSequenceBp:
         # what a peak-normalized double can hold. Before the log-domain
         # pass, seed 2 had 243 wrong rows, seed 8 152 all -inf rows.
         size = 8192
-        tables = _matched_tables(shaped64_575, 15, 1e-5, size, seed=seed)
-        got = _chain_log_marginals_full(tables.r_table, tables.q_matrix)
-        want = full_log_marginals_logdomain(tables.r_table, tables.q_matrix)
+        log_r, log_q = _matched_tables(shaped64_575, 15, 1e-5, size, seed=seed)
+        got = _chain_log_marginals_full(log_r, log_q)
+        want = full_log_marginals_logdomain(log_r, log_q)
         # both recursions round within a few ulps of the largest running sum
         # per step
         delta = 4 * size * np.finfo(float).eps * np.abs(want).max()
@@ -823,10 +828,11 @@ class TestAxisTables:
         d_min, log_r = _distance_tables(y, cfg.grid, shaped64, cfg.sigma_n_sq, True, True)
         d_want, r_want = _xwide_tables(y, cfg.grid, shaped64, cfg.sigma_n_sq)
         log_q = q_matrix(cfg.grid, cfg.sigma_theta_sq)
-        got, want = FactorTables(log_r, log_q), FactorTables(r_want, log_q)
         np.testing.assert_array_equal(bps_estimate(d_min, cfg), bps_estimate(d_want, cfg))
         np.testing.assert_array_equal(cpn_estimate(log_r, cfg), cpn_estimate(r_want, cfg))
-        np.testing.assert_array_equal(map_bp_estimate(got, cfg), map_bp_estimate(want, cfg))
+        np.testing.assert_array_equal(
+            map_bp_estimate(log_r, cfg, log_q), map_bp_estimate(r_want, cfg, log_q)
+        )
 
     def test_rotated_constellation_rejected(self):
         # QPSK rotated onto the axes has three levels per axis, no product grid
@@ -864,8 +870,8 @@ class TestBruteForce:
         cfg = _cfg(2, 4, sigma_n_sq=0.03, sigma_theta_sq=5e-4)
         y = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         _, marg_bf = brute_force_map(y, cfg, shaped64)
-        tables = build_factor_tables(y, cfg, shaped64)
-        logm = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, 2)
+        log_r, log_q = build_factor_tables(y, cfg, shaped64)
+        logm = _chain_log_marginals_windowed(log_r, log_q, 2)
         center = np.exp(logm[2] - logsumexp(logm[2]))
         np.testing.assert_allclose(center, marg_bf, rtol=1e-9, atol=1e-250)
 
@@ -1051,11 +1057,11 @@ class TestSharedProperties:
         interior = slice(6, 256 - 6)
 
         def decisions(y):
-            tables = build_factor_tables(y, cfg, shaped64)
+            log_r, log_q = build_factor_tables(y, cfg, shaped64)
             return (
                 bps_estimate(min_distance_table(y, grid, shaped64), cfg),
-                cpn_estimate(tables.r_table, cfg),
-                map_bp_estimate(tables, cfg),
+                cpn_estimate(log_r, cfg),
+                map_bp_estimate(log_r, cfg, log_q),
             )
 
         for base, moved in zip(decisions(trace.rx_symbols), decisions(rotated)):
@@ -1074,11 +1080,11 @@ class TestSharedProperties:
         cfg = _cfg(4, 8, sigma_n_sq=trace.sigma_n_sq)
         opt = BpsOptParams.uniform(4, temperature=0.1)
         d_table = min_distance_table(trace.rx_symbols, cfg.grid, shaped64)
-        tables = build_factor_tables(trace.rx_symbols, cfg, shaped64)
+        log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped64)
         for call in (
             lambda: bps_estimate(d_table, cfg),
-            lambda: cpn_estimate(tables.r_table, cfg),
-            lambda: map_bp_estimate(tables, cfg),
+            lambda: cpn_estimate(log_r, cfg),
+            lambda: map_bp_estimate(log_r, cfg, log_q),
             lambda: bps_opt_estimate(d_table, cfg, opt),
         ):
             np.testing.assert_array_equal(call(), call())
@@ -1096,9 +1102,9 @@ class TestSharedProperties:
             size = 2 * half_window + 1
             y = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             _, marg_bf = brute_force_map(y, cfg, shaped64)
-            tables = build_factor_tables(y, cfg, shaped64)
-            est = map_bp_estimate(tables, cfg)
-            logm = _chain_log_marginals_windowed(tables.r_table, tables.q_matrix, half_window)
+            log_r, log_q = build_factor_tables(y, cfg, shaped64)
+            est = map_bp_estimate(log_r, cfg, log_q)
+            logm = _chain_log_marginals_windowed(log_r, log_q, half_window)
             center = np.exp(logm[half_window] - logsumexp(logm[half_window]))
             np.testing.assert_allclose(center, marg_bf, rtol=1e-9, atol=1e-250)
             top_two = np.sort(marg_bf)[-2:]

@@ -506,6 +506,7 @@ class TestCli:
             ("--mb-lambda", "nan"),
             ("--mb-lambda", "400"),
             ("--mb-lambda", "inf"),
+            ("--seed", "-1"),
         ],
     )
     def test_invalid_values_exit_1_before_writing(self, tmp_path, flags):
@@ -630,11 +631,31 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "flags",
-        [("--epochs", "0"), ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf")],
-        ids=["epochs-0", "lr-negative", "lr-nan", "lr-inf"],
+        "flags, message",
+        [
+            (("--epochs", "0"), "epochs"),
+            (("--lr", "-1"), "lr"),
+            (("--lr", "nan"), "lr"),
+            (("--lr", "inf"), "lr"),
+            (("--train-seed", "-1"), "seed must be nonnegative"),
+            (("--heldout-realizations", "-1"), "heldout_realizations must be nonnegative"),
+            (
+                ("--half-window", "32", "--symbols", "65", "--batch-symbols-start", "16",
+                 "--batch-symbols-end", "16"),
+                "training batches (16 symbols at the shortest)",
+            ),
+            (
+                ("--half-window", "2100", "--symbols", "4201", "--batch-symbols-start", "4201",
+                 "--batch-symbols-end", "4201"),
+                "4096-symbol validation trace",
+            ),
+        ],
+        ids=[
+            "epochs-0", "lr-negative", "lr-nan", "lr-inf", "train-seed-negative",
+            "heldout-negative", "batch-shorter-than-window", "validation-shorter-than-window",
+        ],
     )
-    def test_invalid_schedule_exits_1_before_writing(self, tmp_path, flags):
+    def test_invalid_schedule_exits_1_before_writing(self, tmp_path, flags, message):
         out = self._run(
             "train", "--order", "16", "--snr-db", "15", "--sigma-theta-sq", "1e-4",
             "--half-window", "2", "--test-phases", "8", "--symbols", "64", "--epochs", "1",
@@ -643,7 +664,21 @@ class TestCli:
         )
         assert out.returncode == 1, out.stderr
         assert "config error" in out.stderr and "Traceback" not in out.stderr
-        assert flags[0].lstrip("-") in out.stderr
+        assert message in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_held_out_seed_exits_1_before_writing(self, tmp_path):
+        # the held-out seeds start at --seed + --seed-offset, here -1
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"raw_weights": [0.0] * 5, "raw_temp": 0.0}))
+        out = self._run(
+            "eval", "--order", "16", "--snr-db", "15", "--sigma-theta-sq", "1e-4",
+            "--half-window", "2", "--test-phases", "8", "--symbols", "64", "--seed", "5",
+            "--seed-offset", "-6", "--params", str(params), "--out", str(tmp_path / "out"),
+        )
+        assert out.returncode == 1, out.stderr
+        assert "config error" in out.stderr and "Traceback" not in out.stderr
+        assert "seed must be nonnegative" in out.stderr
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -780,8 +815,8 @@ cfg = wiener_cpe.EstimatorConfig(
     half_window=4, grid=wiener_cpe.make_grid(m_count, 4), sigma_n_sq=0.01, sigma_theta_sq=1e-3
 )
 log_r = np.random.default_rng(0).uniform(-5.0, 0.0, (size, m_count))
-tables = wiener_cpe.FactorTables(log_r, wiener_cpe.q_matrix(cfg.grid, cfg.sigma_theta_sq))
-wiener_cpe.map_bp_estimate(tables, cfg)
+log_q = wiener_cpe.q_matrix(cfg.grid, cfg.sigma_theta_sq)
+wiener_cpe.map_bp_estimate(log_r, cfg, log_q)
 print(threading.active_count())
 """
 

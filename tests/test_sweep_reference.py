@@ -5,7 +5,8 @@ The rule. On the build the reference was recorded on (the same numpy
 version, BLAS build and SIMD extensions) every CSV (``results``,
 ``realizations`` and each ``plots/bmi_vs_snr_*``), the training run's
 ``params.json``, ``report.json`` and ``weights.csv``, the sha256 of each
-algorithm's raw estimates and of each BP frame's log-marginals, and the
+algorithm's raw estimates, of each BP frame's log-marginals and of each
+demapper block's per-symbol derivatives in the gradient call, and the
 training gradient (its 17-digit text and its sha256) must match the
 recording byte for byte. On another build, rounding alone may move the last
 bits: two equal-math demapper kernels moved ``sigma_opt`` by about 5e-12 in
@@ -149,6 +150,13 @@ def test_log_marginals_match_on_the_recorded_build(fresh, recorded):
     if fresh["build"] != recorded["build"]:
         pytest.skip("build differs from the recording's: log-marginal bits are not compared")
     assert fresh["log_marginals_sha256"] == recorded["log_marginals_sha256"]
+
+
+def test_demapper_derivatives_match_on_the_recorded_build(fresh, recorded):
+    # the summed gradient can hide a last-bit change in these
+    if fresh["build"] != recorded["build"]:
+        pytest.skip("build differs from the recording's: derivative bits are not compared")
+    assert fresh["demapper_grad_sha256"] == recorded["demapper_grad_sha256"]
 
 
 def test_training_gradient_matches_the_recorded_reference(fresh, recorded):
