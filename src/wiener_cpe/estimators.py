@@ -20,16 +20,14 @@ only near underflow and at the last step), which never changes the argmax.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextvars import copy_context
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .constellation import Constellation
-from .numerics import logsumexp, softmax, wrap_sector
+from .numerics import CorePool, free_cores, logsumexp, softmax, wrap_sector
 
 _TABLE_CHUNK_BYTES = 2**16
 _BP_BLOCK_ROWS = 1024
@@ -132,6 +130,16 @@ def _row_blocks(size: int, rows: int):
     return zip(starts, starts[1:] + [size])
 
 
+def _on_free_cores(fill, count: int) -> None:
+    """Run ``fill(group)`` on ``CorePool`` threads, one per free core (at
+    most ``count``), where the groups are contiguous slices covering
+    range(count)."""
+    groups = max(1, min(free_cores(), count))
+    cuts = [count * i // groups for i in range(groups + 1)]
+    with CorePool(groups) as run:
+        run(fill, [slice(a, b) for a, b in zip(cuts, cuts[1:])])
+
+
 def _distance_tables(
     y,
     grid: PhaseGrid,
@@ -158,7 +166,9 @@ def _distance_tables(
     at M=60), so a chunk's (levels, rows, M) offsets stay in cache; the
     last chunk takes the remainder. Every entry depends on its own row
     alone, so the budget never changes a bit of the output, down to
-    one-row chunks.
+    one-row chunks. For the same reason the chunks can be split into one
+    contiguous group per free core (``_on_free_cores``), each group
+    writing only its own rows of the tables, without changing a bit.
     """
     y = np.asarray(y, dtype=np.complex128)
     axes = constellation.axis_decomposition()
@@ -167,21 +177,26 @@ def _distance_tables(
     log_r = np.zeros((y.size, grid.m_count)) if want_log_r else None
     inv2s = 1.0 / (2.0 * sigma_n_sq) if want_log_r else 0.0
     chunk = max(1, _TABLE_CHUNK_BYTES // (8 * grid.m_count))
-    for start, stop in _row_blocks(y.size, chunk):
-        u, v = y.real[start:stop, None], y.imag[start:stop, None]
-        coords = (u * cos + v * sin, v * cos - u * sin)  # z = y e^{-j phi}
-        for coord, levels, log_prior in zip(coords, axes.levels, axes.log_priors):
-            d2 = coord[None] - levels[:, None, None]  # (levels, rows, M)
-            np.square(d2, out=d2)
-            if want_min:
-                d_min[start:stop] += d2.min(axis=0)
-            if want_log_r:
-                d2 *= -inv2s
-                d2 += log_prior[:, None, None]
-                peak = d2.max(axis=0)
-                d2 -= peak
-                np.exp(d2, out=d2)
-                log_r[start:stop] += peak + np.log(d2.sum(axis=0))
+    chunks = list(_row_blocks(y.size, chunk))
+
+    def fill(group: slice) -> None:
+        for start, stop in chunks[group]:
+            u, v = y.real[start:stop, None], y.imag[start:stop, None]
+            coords = (u * cos + v * sin, v * cos - u * sin)  # z = y e^{-j phi}
+            for coord, levels, log_prior in zip(coords, axes.levels, axes.log_priors):
+                d2 = coord[None] - levels[:, None, None]  # (levels, rows, M)
+                np.square(d2, out=d2)
+                if want_min:
+                    d_min[start:stop] += d2.min(axis=0)
+                if want_log_r:
+                    d2 *= -inv2s
+                    d2 += log_prior[:, None, None]
+                    peak = d2.max(axis=0)
+                    d2 -= peak
+                    np.exp(d2, out=d2)
+                    log_r[start:stop] += peak + np.log(d2.sum(axis=0))
+
+    _on_free_cores(fill, len(chunks))
     return d_min, log_r
 
 
@@ -255,7 +270,7 @@ def cpn_estimate(log_r, cfg: EstimatorConfig) -> np.ndarray:
 
 _MESSAGE_FLOOR = 1e-300
 _RESCALE_BELOW = 2.0**-64
-_WINDOWED_Q_FLUSH = 2.0**-900
+_WINDOWED_Q_FLUSH = 2.0**-700
 
 
 def _linear_transitions(log_q, flush: float = np.finfo(np.float64).tiny) -> np.ndarray:
@@ -323,20 +338,11 @@ def _windowed_messages(log_r, q_lin_t, half_window: int, keep: slice):
 
 def bp_threads(size: int, m_count: int) -> int:
     """Threads windowed BP runs a ``size``-row frame of ``m_count`` grid
-    phases on: one per row block, up to the cores in the process's CPU
-    affinity that BLAS threads leave free, and one below
+    phases on: one per row block, up to ``free_cores()``, and one below
     ``_BP_THREAD_MIN_PHASES`` phases (see ``map_bp_estimate``)."""
     if m_count < _BP_THREAD_MIN_PHASES:
         return 1
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    blas = cores  # OpenBLAS runs a product on every core unless told otherwise
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            blas = int(value)
-            break
-    return max(1, min(cores // blas, size // _BP_BLOCK_ROWS))
+    return max(1, min(free_cores(), size // _BP_BLOCK_ROWS))
 
 
 def _windowed_block(log_r, q_lin_t, half_window: int, out, a: int, b: int) -> None:
@@ -354,20 +360,12 @@ def _windowed_block(log_r, q_lin_t, half_window: int, out, a: int, b: int) -> No
 
 
 def _chain_log_marginals_windowed(log_r, log_q, half_window: int) -> np.ndarray:
-    # blocks share only read-only inputs and write disjoint rows of out.
-    # Each runs in its own copy of the caller's context (one Context cannot
-    # be entered by two threads at once), so numpy's error state there is
-    # the caller's.
+    # blocks share only read-only inputs and write disjoint rows of out
     out = np.empty_like(log_r)
     q_lin_t = _linear_transitions(log_q, _WINDOWED_Q_FLUSH).T
     starts, stops = zip(*_row_blocks(len(log_r), _BP_BLOCK_ROWS))
-    contexts = [copy_context() for _ in starts]
-
-    def run(context, a, b):
-        context.run(_windowed_block, log_r, q_lin_t, half_window, out, a, b)
-
-    with ThreadPoolExecutor(bp_threads(*log_r.shape)) as pool:
-        list(pool.map(run, contexts, starts, stops))
+    with CorePool(bp_threads(*log_r.shape)) as run:
+        run(partial(_windowed_block, log_r, q_lin_t, half_window, out), starts, stops)
     return out
 
 
@@ -470,13 +468,13 @@ def map_bp_estimate(log_r, cfg: EstimatorConfig, log_q) -> np.ndarray:
     products of 256 columns or fewer round differently at M=60
     (log-marginals move by up to 2.8e-14).
 
-    The blocks run on a pool of one thread per usable core
-    (``bp_threads``), created and joined inside the call, so no thread
-    outlives it. Threading changes no bit: a block's products
-    keep their (M, M) @ (M, rows) shapes, so BLAS rounds each one as in a
-    single thread, and each block writes only its own output rows. Usable
-    cores are those in the process's CPU affinity that BLAS leaves free:
-    OpenBLAS runs every product on all cores unless
+    The blocks run on a ``numerics.CorePool`` of ``bp_threads`` threads,
+    one per free core (``numerics.free_cores``), created and joined inside
+    the call, so no thread outlives it. Threading changes no bit: a
+    block's products keep their (M, M) @ (M, rows) shapes, so BLAS rounds
+    each one as in a single thread, and each block writes only its own
+    output rows. Free cores are those in the process's CPU affinity that
+    BLAS leaves free: OpenBLAS runs every product on all cores unless
     ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` says otherwise, and
     two threads' products on shared cores ran slower than one thread's
     (1.00-1.34 s against 0.84-1.10 s per 2^15 frame at M=60 on a 2-vCPU
@@ -548,23 +546,25 @@ def map_bp_estimate(log_r, cfg: EstimatorConfig, log_q) -> np.ndarray:
     1e288. At the 1.18e-4 centre cell 120 entries of the M=60 Q are
     flushed.
 
-    Windowed BP flushes Q below tau = ``_WINDOWED_Q_FLUSH`` (2^-900)
+    Windowed BP flushes Q below tau = ``_WINDOWED_Q_FLUSH`` (2^-700)
     instead: its messages sit up to 2^64 below a normalized one, so more
-    Q * v products would be subnormal. A step pushes a product v of peak
-    p in [2^-64, 1] through Q. A flushed entry adds less than tau * p to
-    an output entry, and at most M of them do, so the flush moves an
+    Q * v products would be subnormal, or close enough to the subnormal
+    range to take the slow path (at 24 dB and 1e-5 a 2^-900 flush left a
+    frame at M=60 at 0.42 s against 0.24 s). A step pushes a product v of
+    peak p in [2^-64, 1] through Q. A flushed entry adds less than tau * p
+    to an output entry, and at most M of them do, so the flush moves an
     output entry by less than M * tau * p <= M^2 * tau * P, where
     P >= p / M is the output's peak. Half an ulp of an entry x is at
-    least 2^-53 x, so the flush moves no entry x >= M^2 * 2^-847 * P by
-    as much as half an ulp: for M <= 64, every entry within 2^-835 (about
-    579 nats) of its message's peak. An error made at an earlier step is
+    least 2^-53 x, so the flush moves no entry x >= M^2 * 2^-647 * P by
+    as much as half an ulp: for M <= 64, every entry within 2^-635 (about
+    440 nats) of its message's peak. An error made at an earlier step is
     carried through the emission (at most 1) and Q (an average), neither
     of which enlarges it. At the 1.18e-4 centre cell 120 more entries of
     the M=60 Q are flushed, and on the tested frames no message entry
     within that band moved by a bit. Full-sequence BP keeps the tiny
-    flush because its linear/log rule rests on it: a 2^-900 flush would
-    raise that rule's bound from M * 2^-968 to about M * 2^-847 and send
-    every frame whose messages span more than about 580 nats to the
+    flush because its linear/log rule rests on it: a 2^-700 flush would
+    raise that rule's bound from M * 2^-968 to about M * 2^-647 and send
+    every frame whose messages span more than about 440 nats to the
     log-domain pass.
 
     The windowed variant's dead-column fallback rescues one underflowed
@@ -622,17 +622,32 @@ def phase_major_padded(table: np.ndarray, half_window: int) -> np.ndarray:
 
 def window_sums(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """D[m, k] = sum_j w_j padded[m, k + j], i.e. sum_j w_j table[k - N + j, m]
-    zero-padded at the edges: one ``np.correlate`` along each phase row."""
+    zero-padded at the edges: one ``np.correlate`` along each phase row,
+    the rows split across the free cores (``np.correlate`` releases the
+    interpreter lock)."""
     out = np.empty((padded.shape[0], padded.shape[1] - weights.size + 1))
-    for row, out_row in zip(padded, out):
-        out_row[:] = np.correlate(row, weights, "valid")
+
+    def fill(rows: slice) -> None:
+        for row, out_row in zip(padded[rows], out[rows]):
+            out_row[:] = np.correlate(row, weights, "valid")
+
+    _on_free_cores(fill, len(padded))
     return out
 
 
 def window_sums_weight_grad(padded: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Adjoint of ``window_sums`` in the weights: sum_{m,k} grad[m, k]
-    padded[m, k + j] for each tap j."""
-    return sum(np.correlate(row, g_row, "valid") for row, g_row in zip(padded, grad))
+    padded[m, k + j] for each tap j. The per-row correlations run split
+    across the free cores, as in ``window_sums``, and are summed in row
+    order."""
+    per_row = np.empty((padded.shape[0], padded.shape[1] - grad.shape[1] + 1))
+
+    def fill(rows: slice) -> None:
+        for row, g_row, out_row in zip(padded[rows], grad[rows], per_row[rows]):
+            out_row[:] = np.correlate(row, g_row, "valid")
+
+    _on_free_cores(fill, len(padded))
+    return sum(per_row)
 
 
 def softmin_readout(d_table, grid: PhaseGrid, params: BpsOptParams) -> SoftminReadout:

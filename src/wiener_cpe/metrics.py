@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import AxisDecomposition, Constellation, entropy_bits
+from .numerics import CorePool, free_cores
 
 # symbols per block of ``demapper_blocks``, which the variance search, the
 # training loss and ``llrs`` all score with
@@ -322,7 +323,11 @@ def optimize_demapper_variance(
     without a search. Such frames (noiseless, or 24 dB at small phase
     noise) would otherwise get an arbitrary point of the flat top. The
     probe stops at the first block and axis with a bit above the floor, so
-    on other frames it costs a fraction of one evaluation.
+    on other frames it costs a fraction of one evaluation, and it runs in
+    the caller's thread. Every other evaluation scores the blocks on one
+    ``CorePool`` of up to ``free_cores()`` threads, held for the whole
+    search, and sums the block totals in block order, so the result does
+    not depend on the thread count.
     """
     x_hat = np.asarray(x_hat, dtype=np.complex128)
     bits = np.asarray(bits)
@@ -335,31 +340,37 @@ def optimize_demapper_variance(
     entropy = entropy_bits(constellation.probs)
     scale = 1.0 / (x_hat.size * _LN2)
 
-    def penalty(sigma_sq: float, flat_only: bool = False) -> float | None:
+    def flat_floor(sigma_sq: float) -> float | None:
         total = 0.0
         for block in blocks:
-            part = block.cross_entropy(sigma_sq, flat_only)
+            part = block.cross_entropy(sigma_sq, flat_only=True)
             if part is None:
                 return None
             total += part
         return total
 
-    def score(log_sigma_sq: float) -> float:
-        return entropy - penalty(math.exp(log_sigma_sq)) * scale
+    with CorePool(min(free_cores(), len(blocks))) as run:
 
-    if degenerate:
-        sigma_sq = math.sqrt(SIGMA_SQ_RANGE[0] * SIGMA_SQ_RANGE[1])
-        best = score(math.log(sigma_sq))
-    else:
-        sigma_sq = SIGMA_SQ_RANGE[0]
-        floor = penalty(sigma_sq, flat_only=True)
-        if floor is not None:
-            best = entropy - floor * scale
+        def score(log_sigma_sq: float) -> float:
+            variance = math.exp(log_sigma_sq)
+            total = 0.0
+            for part in run(lambda block: block.cross_entropy(variance), blocks):
+                total += part
+            return entropy - total * scale
+
+        if degenerate:
+            sigma_sq = math.sqrt(SIGMA_SQ_RANGE[0] * SIGMA_SQ_RANGE[1])
+            best = score(math.log(sigma_sq))
         else:
-            log_best, best = _brent_max(
-                score, math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]), tol=1e-4
-            )
-            sigma_sq = math.exp(log_best)
+            sigma_sq = SIGMA_SQ_RANGE[0]
+            floor = flat_floor(sigma_sq)
+            if floor is not None:
+                best = entropy - floor * scale
+            else:
+                log_best, best = _brent_max(
+                    score, math.log(SIGMA_SQ_RANGE[0]), math.log(SIGMA_SQ_RANGE[1]), tol=1e-4
+                )
+                sigma_sq = math.exp(log_best)
 
     clamped = min(max(best, 0.0), entropy)
     report = BmiReport(

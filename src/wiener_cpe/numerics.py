@@ -1,9 +1,82 @@
 """Small shared numeric helpers (stable softmax and log-sum-exp, sector
-wrapping)."""
+wrapping) and the thread pool that every row-parallel stage runs on."""
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import copy_context
+from itertools import count
+
 import numpy as np
+
+
+def free_cores() -> int:
+    """Cores in the process's CPU affinity that BLAS threads leave free.
+
+    OpenBLAS runs every product on all cores unless ``OPENBLAS_NUM_THREADS``
+    or ``OMP_NUM_THREADS`` says otherwise, so with neither set this is 1:
+    threads whose products share cores with BLAS's ran slower than one
+    thread (see ``map_bp_estimate``).
+    """
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    blas = cores
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cores // blas)
+
+
+class CorePool:
+    """Runs calls on ``threads`` threads, the caller's and ``threads - 1``
+    pool threads that the exit of the owning ``with`` block joins::
+
+        with CorePool(free_cores()) as run:
+            results = run(fn, items)
+
+    ``run(fn, *iterables)`` calls ``fn`` on each tuple of items, each
+    thread taking the next item left, and returns the results in item
+    order. Every call has finished before ``run`` returns or raises, and a
+    failed call re-raises in the caller. Pool threads run their calls in a
+    copy of the caller's context, so numpy's error state there is the
+    caller's. The caller computes rather than waits: every thread that
+    allocates keeps a malloc arena of its own, so one thread fewer keeps
+    the peak RSS lower.
+    """
+
+    def __init__(self, threads: int):
+        self._helpers = max(1, threads) - 1
+        self._pool = ThreadPoolExecutor(self._helpers) if self._helpers else None
+
+    def __enter__(self) -> "CorePool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def __call__(self, fn, *iterables) -> list:
+        items = list(zip(*iterables))
+        results = [None] * len(items)
+        claim = count().__next__  # one C call, so no two threads get one index
+
+        def drain() -> None:
+            while (i := claim()) < len(items):
+                results[i] = fn(*items[i])
+
+        helpers = []
+        try:
+            for _ in range(min(self._helpers, len(items) - 1)):
+                helpers.append(self._pool.submit(copy_context().run, drain))
+            drain()
+        finally:
+            wait(helpers)
+        for helper in helpers:
+            helper.result()
+        return results
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

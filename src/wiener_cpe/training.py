@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .estimators import (
     window_sums_weight_grad,
 )
 from .metrics import demapper_blocks
+from .numerics import CorePool, free_cores
 from .postproc import cycle_slip_correct
 
 _LN2 = math.log(2.0)
@@ -159,16 +161,27 @@ def _forward_backward(
             g_phi = 2.0 * residual / size
     else:
         sigma_sq = max(trace.sigma_n_sq, 1e-12)
+
+        def score(block) -> float:
+            rows, demapper = block
+            if not want_grad:
+                return demapper.cross_entropy(sigma_sq)
+            part, g_u, g_v = demapper.cross_entropy_grad(sigma_sq)
+            # d x_hat / d phi = -j x_hat
+            xc = x_hat[rows]
+            g_phi[rows] = (g_u * xc.imag - g_v * xc.real) / size
+            return part
+
+        # one block per thread at a time, each built in this thread (blocks
+        # built on pool threads left their memory in per-thread malloc
+        # arenas) and each writing only its own rows of g_phi
+        cores = free_cores()
+        blocks = demapper_blocks(x_hat, constellation, trace.bits)
         total_loss = 0.0
-        for rows, demapper in demapper_blocks(x_hat, constellation, trace.bits):
-            if want_grad:
-                part, g_u, g_v = demapper.cross_entropy_grad(sigma_sq)
-                # d x_hat / d phi = -j x_hat
-                xc = x_hat[rows]
-                g_phi[rows] = (g_u * xc.imag - g_v * xc.real) / size
-            else:
-                part = demapper.cross_entropy(sigma_sq)
-            total_loss += part
+        with CorePool(cores) as run:
+            while batch := list(islice(blocks, cores)):
+                for part in run(score, batch):
+                    total_loss += part
         total_loss /= size
 
     if not math.isfinite(total_loss):

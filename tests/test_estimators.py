@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import threading
 
 import mpmath
@@ -397,19 +398,31 @@ class TestBlockedBp:
         unscaled = _chain_log_marginals_windowed(log_r, log_q, half)
         assert np.any(np.argmax(unscaled, axis=1) != np.argmax(want, axis=1))
 
-    @pytest.mark.parametrize("snr_db, seed", [(16.0, 32), (20.0, 33), (24.0, 34)])
-    def test_flush_moves_no_entry_above_its_band(self, shaped64, monkeypatch, snr_db, seed):
-        # M=60, 1.18e-4: Q has entries between tiny and 2^-900 that only the
-        # windowed flush zeroes. Against the same recursion flushed at tiny,
-        # message entries at least M^2 2^-847 of their column's peak (the
-        # band of map_bp_estimate's docstring) agree to 1e-12, and no
-        # decision moves.
+    @pytest.mark.parametrize(
+        "snr_db, seed, sigma_theta_sq",
+        [
+            pytest.param(16.0, 32, 1.18e-4, id="16.0-32"),
+            pytest.param(20.0, 33, 1.18e-4, id="20.0-33"),
+            pytest.param(24.0, 34, 1.18e-4, id="24.0-34"),
+            pytest.param(24.0, 35, 1e-5, id="24.0-35-1e-05"),
+        ],
+    )
+    def test_flush_moves_no_entry_above_its_band(
+        self, shaped64, monkeypatch, snr_db, seed, sigma_theta_sq
+    ):
+        # M=60: Q has entries between tiny and 2^-700 that only the windowed
+        # flush zeroes. Against the same recursion flushed at tiny, message
+        # entries at least M^2 2^-847 of their column's peak agree to
+        # 1e-12, and no decision moves. That band is narrower than the
+        # M^2 2^-647 of map_bp_estimate's docstring.
         m_count, size, half = 60, 2 * estimators._BP_BLOCK_ROWS + 37, 32
         params = ChannelParams(
-            snr_db=snr_db, sigma_theta_sq=1.18e-4, num_symbols=size, seed=seed
+            snr_db=snr_db, sigma_theta_sq=sigma_theta_sq, num_symbols=size, seed=seed
         )
         trace = transmit(shaped64, params)
-        cfg = _cfg(half, m_count, sigma_n_sq=trace.sigma_n_sq / 2)
+        cfg = _cfg(
+            half, m_count, sigma_n_sq=trace.sigma_n_sq / 2, sigma_theta_sq=sigma_theta_sq
+        )
         log_r, log_q = build_factor_tables(trace.rx_symbols, cfg, shaped64)
         tiny = np.finfo(float).tiny
         q_tiny = estimators._linear_transitions(log_q, tiny)
@@ -466,7 +479,7 @@ class TestBlockedBp:
     def _usable_cores(monkeypatch, cores):
         # `cores` CPUs in the process's affinity, one BLAS thread per product,
         # and threads at every grid size
-        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.setattr(estimators, "_BP_THREAD_MIN_PHASES", 2)
@@ -498,8 +511,9 @@ class TestBlockedBp:
 
         def run_recording(threads):
             # the first `threads` block calls meet at a barrier, so the pool
-            # must run them on `threads` distinct threads; fewer time out
-            # and raise BrokenBarrierError instead of hanging
+            # must run them on `threads` distinct threads, the caller's
+            # among them; fewer time out and raise BrokenBarrierError
+            # instead of hanging
             runners, calls = set(), itertools.count()
             barrier = threading.Barrier(threads, timeout=30.0)
 
@@ -511,7 +525,7 @@ class TestBlockedBp:
 
             monkeypatch.setattr(estimators, "_windowed_messages", recording)
             out = _chain_log_marginals_windowed(log_r, log_q, half)
-            assert threading.get_ident() not in runners and len(runners) == threads
+            assert threading.get_ident() in runners and len(runners) == threads
             return out
 
         self._usable_cores(monkeypatch, 1)
@@ -523,7 +537,7 @@ class TestBlockedBp:
         assert got.tobytes() == want.tobytes()
 
     def test_threads_below_min_phases_or_under_blas_threads(self, monkeypatch):
-        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: set(range(4)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         size = 5 * estimators._BP_BLOCK_ROWS
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -556,9 +570,9 @@ class TestBlockedBp:
         assert threading.active_count() == before
 
     def test_threads_keep_the_callers_error_state(self, monkeypatch):
-        # exp(log R - peak) underflows only in the second block, which a
-        # pool thread runs; under the caller's errstate(under="raise") it
-        # raises as one thread does
+        # exp(log R - peak) underflows only in the second block, which the
+        # caller or the pool thread runs; under the caller's
+        # errstate(under="raise") it raises as one thread does
         self._usable_cores(monkeypatch, 2)
         m_count, size = 8, 2 * estimators._BP_BLOCK_ROWS
         log_r = np.zeros((size, m_count))

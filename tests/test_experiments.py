@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -263,7 +264,7 @@ class TestRunSweep:
 
     def test_forked_workers_run_threaded_bp(self, tmp_path, monkeypatch):
         # three BP blocks per frame on three threads, in forked workers too
-        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         size = 3 * estimators._BP_BLOCK_ROWS + 100
@@ -818,16 +819,30 @@ log_r = np.random.default_rng(0).uniform(-5.0, 0.0, (size, m_count))
 log_q = wiener_cpe.q_matrix(cfg.grid, cfg.sigma_theta_sq)
 wiener_cpe.map_bp_estimate(log_r, cfg, log_q)
 print(threading.active_count())
+constellation = wiener_cpe.build_qam(16)
+trace = wiener_cpe.transmit(
+    constellation,
+    wiener_cpe.ChannelParams(snr_db=15.0, sigma_theta_sq=1e-3, num_symbols=20000, seed=0),
+)
+wiener_cpe.optimize_demapper_variance(trace.rx_symbols, trace.bits, constellation)
+print(threading.active_count())
+cfg = wiener_cpe.EstimatorConfig(
+    half_window=4, grid=wiener_cpe.make_grid(8, 4), sigma_n_sq=trace.sigma_n_sq / 2,
+    sigma_theta_sq=1e-3,
+)
+wiener_cpe.grad(wiener_cpe.BpsOptParams.uniform(4), trace, cfg, constellation)
+print(threading.active_count())
 """
 
 
 def test_package_starts_no_thread(monkeypatch):
     # importing wiener_cpe starts no thread, and a threaded windowed BP
-    # frame leaves none behind, so sweep workers fork from one thread
+    # frame, variance search and training step leave none behind, so sweep
+    # workers fork from one thread
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     out = subprocess.run(
         [sys.executable, "-c", _THREAD_GUARD_SCRIPT], capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["1", "2", "1"]
+    assert out.stdout.split() == ["1", "2", "1", "1", "1"]
