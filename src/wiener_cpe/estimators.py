@@ -549,11 +549,12 @@ def map_bp_estimate(log_r, cfg: EstimatorConfig, log_q) -> np.ndarray:
     Windowed BP flushes Q below tau = ``_WINDOWED_Q_FLUSH`` (2^-700)
     instead: its messages sit up to 2^64 below a normalized one, so more
     Q * v products would be subnormal, or close enough to the subnormal
-    range to take the slow path (at 24 dB and 1e-5 a 2^-900 flush left a
-    frame at M=60 at 0.42 s against 0.24 s). A step pushes a product v of
-    peak p in [2^-64, 1] through Q. A flushed entry adds less than tau * p
-    to an output entry, and at most M of them do, so the flush moves an
-    output entry by less than M * tau * p <= M^2 * tau * P, where
+    range to take the slow path (a 24-dB, 1e-5 frame at M=60 took 0.55 s
+    with a 2^-900 flush against 0.32 s, two threads of a 2-vCPU Xeon VM).
+    A step pushes a product v of peak p in [2^-64, 1] through Q. A
+    flushed entry adds less than tau * p to an output entry, and at most
+    M of them do, so the flush moves an output entry by less than
+    M * tau * p <= M^2 * tau * P, where
     P >= p / M is the output's peak. Half an ulp of an entry x is at
     least 2^-53 x, so the flush moves no entry x >= M^2 * 2^-647 * P by
     as much as half an ulp: for M <= 64, every entry within 2^-635 (about
