@@ -147,6 +147,7 @@ def _distance_tables(
     sigma_n_sq: float | None,
     want_min: bool,
     want_log_r: bool,
+    pad: int | None = None,
 ):
     """Shared chunked pass over |y_k - x e^{j phi_m}|^2, one axis at a time.
 
@@ -169,32 +170,52 @@ def _distance_tables(
     one-row chunks. For the same reason the chunks can be split into one
     contiguous group per free core (``_on_free_cores``), each group
     writing only its own rows of the tables, without changing a bit.
+
+    The tables go to one of two destinations. With ``pad`` None they are
+    (K, M). With ``pad`` = N they are phase-major, (M, K + 2N) with N zero
+    columns on each side, the layout the softmin reads (``softmin_readout``),
+    and symbol k is column N + k; the chunks are then (levels, M, rows), so
+    each chunk writes contiguous runs of its phase rows. Either way an entry
+    is the same products, the same exact minimum and the same per-plane sums
+    over the levels in level order, added to 0 axis by axis, so both
+    destinations hold the same bytes; only the layout in memory differs.
     """
     y = np.asarray(y, dtype=np.complex128)
+    size, m_count = y.size, grid.m_count
     axes = constellation.axis_decomposition()
     cos, sin = np.cos(grid.phases), np.sin(grid.phases)
-    d_min = np.zeros((y.size, grid.m_count)) if want_min else None
-    log_r = np.zeros((y.size, grid.m_count)) if want_log_r else None
+    if pad is None:
+        shape = (size, m_count)
+    else:
+        # one phase per row: the chunks broadcast (M, 1) against (rows,)
+        shape = (m_count, size + 2 * pad)
+        cos, sin = cos[:, None], sin[:, None]
+    d_min = np.zeros(shape) if want_min else None
+    log_r = np.zeros(shape) if want_log_r else None
     inv2s = 1.0 / (2.0 * sigma_n_sq) if want_log_r else 0.0
-    chunk = max(1, _TABLE_CHUNK_BYTES // (8 * grid.m_count))
-    chunks = list(_row_blocks(y.size, chunk))
+    chunk = max(1, _TABLE_CHUNK_BYTES // (8 * m_count))
+    chunks = list(_row_blocks(size, chunk))
 
     def fill(group: slice) -> None:
         for start, stop in chunks[group]:
-            u, v = y.real[start:stop, None], y.imag[start:stop, None]
+            u, v = y.real[start:stop], y.imag[start:stop]
+            if pad is None:
+                u, v, rows = u[:, None], v[:, None], slice(start, stop)
+            else:
+                rows = (slice(None), slice(pad + start, pad + stop))
             coords = (u * cos + v * sin, v * cos - u * sin)  # z = y e^{-j phi}
             for coord, levels, log_prior in zip(coords, axes.levels, axes.log_priors):
-                d2 = coord[None] - levels[:, None, None]  # (levels, rows, M)
+                d2 = coord[None] - levels[:, None, None]  # (levels, rows, M) or (levels, M, rows)
                 np.square(d2, out=d2)
                 if want_min:
-                    d_min[start:stop] += d2.min(axis=0)
+                    d_min[rows] += d2.min(axis=0)
                 if want_log_r:
                     d2 *= -inv2s
                     d2 += log_prior[:, None, None]
                     peak = d2.max(axis=0)
                     d2 -= peak
                     np.exp(d2, out=d2)
-                    log_r[start:stop] += peak + np.log(d2.sum(axis=0))
+                    log_r[rows] += peak + np.log(d2.sum(axis=0))
 
     _on_free_cores(fill, len(chunks))
     return d_min, log_r
@@ -228,19 +249,34 @@ def q_matrix(grid: PhaseGrid, sigma_theta_sq: float) -> np.ndarray:
     return logq - logsumexp(logq, axis=1, keepdims=True)
 
 
-def _windowed_sum(table: np.ndarray, half_window: int) -> np.ndarray:
-    """Sliding-window column sums with windows truncated at the edges.
-
-    One slice subtraction S[2N + 1:] - S[:K] over the cumulative sum S of
-    the table with N + 1 zero rows in front and N behind: adding a zero row
-    leaves a partial sum exact, and the edge rows get truncated windows.
-    """
+def _cumulative_sums(table: np.ndarray, half_window: int) -> np.ndarray:
+    """The column cumulative sums S of the table with N + 1 zero rows in
+    front and N behind, so that row k's window sum, truncated at the
+    edges, is S[2N + 1 + k] - S[k]: adding a zero row leaves a partial sum
+    exact, and the edge rows get truncated windows."""
     size, width = table.shape
     w = half_window
     sums = np.zeros((size + 2 * w + 1, width))
     sums[w + 1 : w + 1 + size] = table
     np.cumsum(sums, axis=0, out=sums)
-    return sums[2 * w + 1 :] - sums[:size]
+    return sums
+
+
+def _windowed_pick(table: np.ndarray, half_window: int, pick) -> np.ndarray:
+    """``pick`` (np.argmin or np.argmax) of each row's window sums over the
+    columns. The differences S[2N + 1 + a : 2N + 1 + b] - S[a : b] of the
+    ``_cumulative_sums`` are taken in slabs of rows [a, b), each one a
+    (rows, M) plane of ``_TABLE_CHUNK_BYTES`` (the last one takes the
+    remainder), so the (K, M) window sums never exist. Every row is picked
+    from its own differences, so the slabs change no index."""
+    size, width = table.shape
+    sums = _cumulative_sums(table, half_window)
+    ends = sums[2 * half_window + 1 :]
+    picked = np.empty(size, dtype=np.intp)
+    rows = max(1, _TABLE_CHUNK_BYTES // (8 * width))
+    for a, b in _row_blocks(size, rows):
+        pick(ends[a:b] - sums[a:b], axis=1, out=picked[a:b])
+    return picked
 
 
 def _check_length(table, cfg: EstimatorConfig):
@@ -251,21 +287,21 @@ def _check_length(table, cfg: EstimatorConfig):
 def bps_estimate(d_table, cfg: EstimatorConfig) -> np.ndarray:
     """Blind phase search on the (K, M) distance table: per-symbol argmin of
     the windowed sum of minimum symbol distances. Windows are truncated at
-    the sequence edges; argmin ties break to the lowest grid index.
+    the sequence edges; argmin ties break to the lowest grid index. The
+    argmin is taken slab by slab from one cumulative sum
+    (``_windowed_pick``), so besides that sum no (K, M) array is built.
     """
     _check_length(d_table, cfg)
-    sums = _windowed_sum(d_table, cfg.half_window)
-    return cfg.grid.phases[np.argmin(sums, axis=1)]
+    return cfg.grid.phases[_windowed_pick(d_table, cfg.half_window, np.argmin)]
 
 
 def cpn_estimate(log_r, cfg: EstimatorConfig) -> np.ndarray:
     """Constant-phase-noise MAP on the (K, M) log emission table: argmax of
     the windowed sum of log emission factors (symbol priors included,
-    transition model dropped).
+    transition model dropped), taken slab by slab as in ``bps_estimate``.
     """
     _check_length(log_r, cfg)
-    sums = _windowed_sum(log_r, cfg.half_window)
-    return cfg.grid.phases[np.argmax(sums, axis=1)]
+    return cfg.grid.phases[_windowed_pick(log_r, cfg.half_window, np.argmax)]
 
 
 _MESSAGE_FLOOR = 1e-300
@@ -594,12 +630,15 @@ def map_bp_estimate(log_r, cfg: EstimatorConfig, log_q) -> np.ndarray:
 class SoftminReadout(NamedTuple):
     """One weighted-softmin BPS forward pass, in phase-major (M, K) layout.
 
-    ``padded`` is the distance table transposed to (M, K + 2N) with N zero
-    columns on each side, ``weighted`` the (M, K) window sums D, ``soft``
-    the softmin of D over the M phases, ``phasors`` e^{j n phi_m}, and
+    ``padded`` is the distance table as (M, K + 2N) with N zero columns on
+    each side, ``weighted`` the (M, K) window sums D, ``soft`` the softmin
+    of D over the M phases, ``phasors`` e^{j n phi_m}, and
     ``readout_re``/``readout_im`` the parts of sum_m soft_m e^{j n phi_m}.
     ``collapsed`` marks the symbols whose |readout| is below 1e-12; their
-    estimate is the argmin grid phase of D.
+    estimate is the argmin grid phase of D. The training backward
+    (``training._forward_backward`` with a gradient) consumes ``soft``: it
+    builds the softmin's gradient in that buffer, so read ``soft`` before
+    that call, or take a copy.
     """
 
     padded: np.ndarray
@@ -651,15 +690,38 @@ def window_sums_weight_grad(padded: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return sum(per_row)
 
 
-def softmin_readout(d_table, grid: PhaseGrid, params: BpsOptParams) -> SoftminReadout:
-    """Window sums, softmin and phase readout of the (K, M) distance table,
-    shared by ``bps_opt_estimate`` and the training forward pass."""
+def softmin_readout(padded, grid: PhaseGrid, params: BpsOptParams) -> SoftminReadout:
+    """Window sums, softmin and phase readout of the phase-major distance
+    table ``padded`` ((M, K + 2N), from ``_distance_tables`` with ``pad`` =
+    N or from ``phase_major_padded``), shared by ``bps_opt_estimate`` and
+    the training forward pass.
+
+    The softmin is one new array, ``soft``: D / -t is written into it, and
+    the column max is subtracted, exponentiated and divided by the column
+    sum in place, in column slabs of ``_TABLE_CHUNK_BYTES`` (the last one
+    takes the remainder) split across the free cores. That is
+    ``numerics.softmax(D / -t, axis=0)`` bit for bit: each operation works
+    on its own column, and numpy's axis-0 max and sum run over the rows in
+    order on any slab of two or more columns (a one-column slab would be
+    summed pairwise, and a slab is that narrow only when K = 1).
+    """
     weights = params.weights
     if weights.size % 2 == 0:
         raise ValueError("window length must be odd (2N+1)")
-    padded = phase_major_padded(d_table, (weights.size - 1) // 2)
     weighted = window_sums(padded, weights)
-    soft = softmax(weighted / -params.temperature, axis=0)
+    soft = np.empty_like(weighted)
+    m_count, size = weighted.shape
+    slabs = list(_row_blocks(size, max(2, _TABLE_CHUNK_BYTES // (8 * m_count))))
+
+    def normalize(group: slice) -> None:
+        for a, b in slabs[group]:
+            slab = soft[:, a:b]
+            np.divide(weighted[:, a:b], -params.temperature, out=slab)
+            slab -= slab.max(axis=0)
+            np.exp(slab, out=slab)
+            slab /= slab.sum(axis=0)
+
+    _on_free_cores(normalize, len(slabs))
     n = grid.sym_order
     phasors = np.exp(1j * n * grid.phases)
     readout_re = phasors.real @ soft
@@ -689,10 +751,12 @@ def bps_opt_estimate(d_table, cfg: EstimatorConfig, params: BpsOptParams) -> np.
     BPS's. Symbols below g* are near-ties that the softmin may blend, so a
     small temperature recovers BPS on every symbol only as t -> 0.
 
-    The pass runs on the table transposed to (M, K) (``softmin_readout``):
-    window sums and the softmin then run along contiguous rows.
+    The pass runs on the table transposed to (M, K + 2N)
+    (``phase_major_padded``, then ``softmin_readout``): window sums and the
+    softmin then run along contiguous rows.
     """
     _check_length(d_table, cfg)
     if params.weights.size != 2 * cfg.half_window + 1:
         raise ValueError("weights length must equal the window length 2N+1")
-    return softmin_readout(d_table, cfg.grid, params).estimates
+    padded = phase_major_padded(d_table, cfg.half_window)
+    return softmin_readout(padded, cfg.grid, params).estimates

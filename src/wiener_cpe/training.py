@@ -21,7 +21,7 @@ from .constellation import Constellation, entropy_bits
 from .estimators import (
     BpsOptParams,
     EstimatorConfig,
-    min_distance_table,
+    _distance_tables,
     softmin_readout,
     window_sums_weight_grad,
 )
@@ -145,7 +145,11 @@ def _forward_backward(
     w = params.weights
     t = params.temperature
 
-    fwd = softmin_readout(min_distance_table(y, cfg.grid, constellation), cfg.grid, params)
+    # d_min goes straight to the phase-major padded layout the softmin reads
+    padded, _ = _distance_tables(
+        y, cfg.grid, constellation, None, True, False, pad=(w.size - 1) // 2
+    )
+    fwd = softmin_readout(padded, cfg.grid, params)
     # Data-aided removal of the n-fold ambiguity: the integer multiple of
     # 2*pi/n separating the raw estimate from the true phase is known from
     # the true path and treated as constant in the backward pass.
@@ -199,9 +203,15 @@ def _forward_backward(
     # backward subtracts sum_m soft_m (d phi / d soft_m) = Re(r) g_re +
     # Im(r) g_im = g_phi (-Im r Re r + Re r Im r) / (n |r|^2) = 0: the
     # normalisation only scales the readout r, which leaves arg(r) alone.
-    g_arg = np.outer(fwd.phasors.real, g_re)
-    g_arg += np.outer(fwd.phasors.imag, g_im)
-    g_arg *= fwd.soft
+    # g_arg[m] = soft[m] (Re p_m g_re + Im p_m g_im), built row by row in
+    # soft's buffer: the products and sums of outer + outer, times soft
+    g_arg = fwd.soft
+    re_part, im_part = np.empty(size), np.empty(size)
+    for row, p in zip(g_arg, fwd.phasors):
+        np.multiply(g_re, p.real, out=re_part)
+        np.multiply(g_im, p.imag, out=im_part)
+        re_part += im_part
+        row *= re_part
     g_raw_temp = float(np.vdot(g_arg, fwd.weighted)) / t
     g_w = window_sums_weight_grad(fwd.padded, g_arg) / -t
     g_raw_weights = w * (g_w - float(g_w @ w))

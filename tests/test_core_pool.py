@@ -1,5 +1,9 @@
 """The thread pool of every row-parallel stage, and those stages at 1, 2
-and 3 cores: threads must change no output byte."""
+and 3 cores: threads must change no output byte. The stages that write
+into a buffer of another layout or reuse one (the phase-major table
+destination, the slab picks of bps and cpn, the in-place softmin and the
+training backward that consumes it) are checked against the array they
+replace at every core count too."""
 
 import os
 import sys
@@ -11,10 +15,22 @@ import pytest
 
 from wiener_cpe import ChannelParams, EstimatorConfig, make_grid, transmit
 from wiener_cpe import training
-from wiener_cpe.estimators import BpsOptParams, _distance_tables, bps_estimate
+from wiener_cpe import estimators
+from wiener_cpe.estimators import (
+    BpsOptParams,
+    _distance_tables,
+    bps_estimate,
+    cpn_estimate,
+    min_distance_table,
+    phase_major_padded,
+    softmin_readout,
+    window_sums,
+)
 from wiener_cpe.metrics import DEMAP_CHUNK, optimize_demapper_variance
-from wiener_cpe.numerics import CorePool, free_cores
+from wiener_cpe.numerics import CorePool, free_cores, softmax
 from wiener_cpe.postproc import postprocess
+
+from oracles import gather_windowed_sum
 
 
 def _usable_cores(monkeypatch, cores):
@@ -199,3 +215,100 @@ class TestStagesAtEveryCoreCount:
 
         one, two, three = _per_core_count(monkeypatch, step)
         assert one == two == three
+
+
+def _chunk_rows(m_count):
+    # rows of one _TABLE_CHUNK_BYTES plane: a table chunk, a bps/cpn slab,
+    # and (read as columns) a softmin slab
+    return estimators._TABLE_CHUNK_BYTES // (8 * m_count)
+
+
+class TestBuffersAtEveryCoreCount:
+    @pytest.mark.parametrize("m_count", [15, 60])
+    @pytest.mark.parametrize("half", [0, 32])
+    @pytest.mark.parametrize("chunks", [0.5, 3.4])
+    def test_phase_major_destination(self, shaped64, monkeypatch, m_count, half, chunks):
+        # K below one chunk, and K not a multiple of the chunk
+        size = max(2 * half + 1, int(chunks * _chunk_rows(m_count)))
+        trace = _frame(shaped64, size, 64 + size)
+        grid = make_grid(m_count, 4)
+        want = phase_major_padded(min_distance_table(trace.rx_symbols, grid, shaped64), half)
+        _, log_r = _distance_tables(trace.rx_symbols, grid, shaped64, 0.005, False, True)
+        want_r = phase_major_padded(log_r, half)
+
+        def tables():
+            d_min, log_r = _distance_tables(
+                trace.rx_symbols, grid, shaped64, 0.005, True, True, pad=half
+            )
+            return d_min.tobytes(), log_r.tobytes()
+
+        for d_min, log_r in _per_core_count(monkeypatch, tables):
+            assert d_min == want.tobytes() and log_r == want_r.tobytes()
+
+    @pytest.mark.parametrize("m_count", [15, 60])
+    @pytest.mark.parametrize("slabs, extra", [(1, -1), (1, 0), (1, 1), (2, 5)])
+    def test_slab_picks(self, monkeypatch, m_count, slabs, extra):
+        # K just below, at and just above one slab (the last slab takes the
+        # remainder, so that is still one) and two slabs, with integer
+        # entries so that the window sums are exact and tie often, and with
+        # rows on both sides of row `slab` whose windows tie between
+        # columns 3 and 7
+        half, slab = 4, _chunk_rows(m_count)
+        size = slabs * slab + extra
+        table = np.random.default_rng(size).integers(0, 3, (size, m_count)).astype(float)
+        band = slice(slab - 2 * half - 2, min(size, slab + 2 * half + 2))
+        table[band] = 2.0
+        table[band, [3, 7]] = 0.0
+        sums = gather_windowed_sum(table, half)
+        cfg = EstimatorConfig(
+            half_window=half, grid=make_grid(m_count, 4), sigma_n_sq=1.0, sigma_theta_sq=0.0
+        )
+        want_min, want_max = np.argmin(sums, axis=1), np.argmax(-sums, axis=1)
+        assert np.all(want_min[slab - half - 2 : slab + half] == 3)
+
+        def picks():
+            return bps_estimate(table, cfg).tobytes(), cpn_estimate(-table, cfg).tobytes()
+
+        for bps, cpn in _per_core_count(monkeypatch, picks):
+            assert bps == cfg.grid.phases[want_min].tobytes()
+            assert cpn == cfg.grid.phases[want_max].tobytes()
+
+    @pytest.mark.parametrize("m_count", [15, 60])
+    @pytest.mark.parametrize("slabs", [0, 0.5, 1, 1.01, 4.6])
+    def test_in_place_softmin(self, monkeypatch, m_count, slabs):
+        # one column, below, at and just above one column slab, and a ragged
+        # last slab; numerics.softmax sums a lone column pairwise
+        half = 3
+        size = max(1, int(slabs * _chunk_rows(m_count)))
+        table = np.random.default_rng(size).random((size, m_count)) * 8.0
+        padded = phase_major_padded(table, half)
+        params = BpsOptParams.from_raw(np.random.default_rng(1).normal(0, 0.5, 7), -2.0)
+        want = softmax(window_sums(padded, params.weights) / -params.temperature, axis=0)
+        grid = make_grid(m_count, 4)
+
+        def soft():
+            return softmin_readout(padded, grid, params).soft.tobytes()
+
+        for got in _per_core_count(monkeypatch, soft):
+            assert got == want.tobytes()
+
+    def test_no_call_reads_a_consumed_buffer(self, shaped64, monkeypatch):
+        # the backward builds its gradient in the softmin's buffer: grad
+        # twice, then loss, must give the bytes of a fresh call each time
+        trace = _frame(shaped64, 3000, 65)
+        cfg = EstimatorConfig(
+            half_window=8, grid=make_grid(15, 4), sigma_n_sq=trace.sigma_n_sq / 2,
+            sigma_theta_sq=1.18e-4,
+        )
+        params = BpsOptParams.from_raw(np.random.default_rng(66).normal(0, 0.3, 17), -2.0)
+
+        def calls():
+            first, second = (training.grad(params, trace, cfg, shaped64) for _ in range(2))
+            value = training.loss(params, trace, cfg, shaped64)
+            return [(g_w.tobytes(), g_t) for g_w, g_t in (first, second)], value
+
+        outputs = _per_core_count(monkeypatch, calls)
+        grads, value = outputs[0]
+        assert grads[0] == grads[1]
+        assert all(out == outputs[0] for out in outputs)
+        assert value == training.loss(params, trace, cfg, shaped64)

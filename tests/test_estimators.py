@@ -224,11 +224,13 @@ class TestWindowedSum:
         "half, size", [(0, 1), (0, 9), (4, 9), (4, 10), (4, 137), (32, 65), (32, 1000)]
     )
     def test_matches_gather_oracle_bit_for_bit(self, half, size):
-        # K = 2N+1, 2N+2, ragged K and N = 0: the slice form and the
-        # gather form subtract the same cumulative sums
+        # K = 2N+1, 2N+2, ragged K and N = 0: the slice form whose slabs
+        # bps and cpn pick from and the gather form subtract the same
+        # cumulative sums
         table = np.random.default_rng(size + half).standard_normal((size, 7)) * 50.0
+        sums = estimators._cumulative_sums(table, half)
         np.testing.assert_array_equal(
-            estimators._windowed_sum(table, half), gather_windowed_sum(table, half)
+            sums[2 * half + 1 :] - sums[:size], gather_windowed_sum(table, half)
         )
 
 
