@@ -297,7 +297,9 @@ class TestBuffersAtEveryCoreCount:
         # twice, then loss, must give the bytes of a fresh call each time
         trace = _frame(shaped64, 3000, 65)
         cfg = EstimatorConfig(
-            half_window=8, grid=make_grid(15, 4), sigma_n_sq=trace.sigma_n_sq / 2,
+            half_window=8,
+            grid=make_grid(15, 4),
+            sigma_n_sq=trace.sigma_n_sq / 2,
             sigma_theta_sq=1.18e-4,
         )
         params = BpsOptParams.from_raw(np.random.default_rng(66).normal(0, 0.3, 17), -2.0)
